@@ -5,8 +5,8 @@
 # `lint-global` runs the whole-module interprocedural ones — lock
 # ordering and span/goroutine lifecycle; see docs/STATIC_ANALYSIS.md),
 # full build, the race-enabled test suite, a 10-second fuzz pass over the
-# SQL parser, the reldb value codec and the columnar segment encoders
-# (`fuzz-smoke`), and one-shot smoke runs of the observability
+# SQL parser, the reldb value codec, the columnar segment encoders and
+# the index-join/hash-join differential (`fuzz-smoke`), and one-shot smoke runs of the observability
 # benchmark, the serve binary, the persisted span-tree pipeline
 # (`trace-smoke`), the introspection catalog (`catalog-smoke`), the
 # group-committed telemetry pipeline (`telemetry-smoke`), the columnar
@@ -55,11 +55,14 @@ race:
 # `bin/perfdmf-vet -dump-sql`) plus mutations; FuzzValueRoundTrip pounds
 # the reldb snapshot/WAL value codec; FuzzSegmentRoundTrip drives the
 # columnar segment encoders (raw/FOR/RLE ints, dict/raw strings) from
-# the committed corpus in internal/reldb/testdata/fuzz.
+# the committed corpus in internal/reldb/testdata/fuzz;
+# FuzzJoinIndexDifferential checks that index nested-loop joins return
+# bitwise the rows hash joins return over fuzzed tables.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRoundTrip$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinIndexDifferential$$' -fuzztime 10s ./internal/sqlexec
 
 # One iteration per sub-benchmark: proves the guard still compiles and
 # runs. Real numbers come from `make bench`.

@@ -29,26 +29,40 @@ type RoutineStats struct {
 // TrialRoutineStats computes per-routine statistics for one trial and
 // metric, entirely inside the database.
 func TrialRoutineStats(s *core.DataSession, trialID int64, metric string) (map[string]RoutineStats, error) {
+	stats, _, _, err := trialStats(s, trialID, metric)
+	return stats, err
+}
+
+// trialStats is TrialRoutineStats plus, from the same grouped statement,
+// each routine's largest inclusive value. wall is the largest of those: the
+// maximum inclusive value of any (event, thread) pair, which is the trial's
+// application wall time; ok is false when no pair has one.
+func trialStats(s *core.DataSession, trialID int64, metric string) (stats map[string]RoutineStats, wall float64, ok bool, err error) {
 	rows, err := s.Conn().Query(`
-		SELECT e.name, MIN(p.exclusive), AVG(p.exclusive), MAX(p.exclusive), STDDEV(p.exclusive)
+		SELECT e.name, MIN(p.exclusive), AVG(p.exclusive), MAX(p.exclusive), STDDEV(p.exclusive),
+			MAX(p.inclusive)
 		FROM interval_event e
 		JOIN interval_location_profile p ON p.interval_event = e.id
 		JOIN metric m ON p.metric = m.id
 		WHERE e.trial = ? AND m.name = ?
 		GROUP BY e.name`, trialID, metric)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	defer rows.Close()
-	out := make(map[string]RoutineStats)
+	stats = make(map[string]RoutineStats)
 	for rows.Next() {
 		var r RoutineStats
-		if err := rows.Scan(&r.Name, &r.Min, &r.Mean, &r.Max, &r.StdDev); err != nil {
-			return nil, err
+		var maxInc any
+		if err := rows.Scan(&r.Name, &r.Min, &r.Mean, &r.Max, &r.StdDev, &maxInc); err != nil {
+			return nil, 0, false, err
 		}
-		out[r.Name] = r
+		stats[r.Name] = r
+		if f, isF := maxInc.(float64); isF && (!ok || f > wall) {
+			wall, ok = f, true
+		}
 	}
-	return out, rows.Err()
+	return stats, wall, ok, rows.Err()
 }
 
 // SpeedupPoint is one routine's speedup at one processor count. Mean is
@@ -100,33 +114,6 @@ func trialProcs(t *core.Trial) int {
 	return n * c * th
 }
 
-// appWallTime returns the trial's application wall time: the maximum
-// inclusive value of any (event, thread) pair.
-func appWallTime(s *core.DataSession, trialID int64, metric string) (float64, error) {
-	rows, err := s.Conn().Query(`
-		SELECT MAX(p.inclusive)
-		FROM interval_event e
-		JOIN interval_location_profile p ON p.interval_event = e.id
-		JOIN metric m ON p.metric = m.id
-		WHERE e.trial = ? AND m.name = ?`, trialID, metric)
-	if err != nil {
-		return 0, err
-	}
-	defer rows.Close()
-	if !rows.Next() {
-		return 0, fmt.Errorf("analysis: trial %d has no %s data", trialID, metric)
-	}
-	var v any
-	if err := rows.Scan(&v); err != nil {
-		return 0, err
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("analysis: trial %d has no %s data", trialID, metric)
-	}
-	return f, nil
-}
-
 // Speedup runs the §5.2 study over a set of trials of the same application
 // at different processor counts. Trials are ordered by processor count;
 // the smallest is the baseline. Routines missing from any trial are
@@ -152,20 +139,19 @@ func speedup(s *core.DataSession, trials []*core.Trial, metric string) (*Speedup
 	study := &SpeedupStudy{Metric: metric, BaseProcs: trialProcs(ordered[0])}
 	perTrial := make([]map[string]RoutineStats, len(ordered))
 	for i, t := range ordered {
-		stats, err := TrialRoutineStats(s, t.ID, metric)
+		stats, wall, ok, err := trialStats(s, t.ID, metric)
 		if err != nil {
 			return nil, err
 		}
 		if len(stats) == 0 {
 			return nil, fmt.Errorf("analysis: trial %q has no %s profile data", t.Name, metric)
 		}
+		if !ok {
+			return nil, fmt.Errorf("analysis: trial %d has no %s data", t.ID, metric)
+		}
 		perTrial[i] = stats
 		study.Procs = append(study.Procs, trialProcs(t))
 		study.TrialIDs = append(study.TrialIDs, t.ID)
-		wall, err := appWallTime(s, t.ID, metric)
-		if err != nil {
-			return nil, err
-		}
 		study.AppTime = append(study.AppTime, wall)
 	}
 

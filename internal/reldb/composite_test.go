@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"math"
 	"testing"
 )
 
@@ -201,6 +202,79 @@ func TestCompositeIndexPersistence(t *testing.T) {
 		slots, ok := tx.LookupEqMulti("t", []string{"a", "b"}, []Value{Int(1), Int(2)})
 		if !ok || len(slots) != 1 {
 			t.Fatalf("after snapshot: ok=%v n=%d", ok, len(slots))
+		}
+		return nil
+	})
+}
+
+// TestLookupEqConvertsProbe: equality lookups convert the probe to the
+// indexed column's type, so they find exactly the rows Compare calls equal,
+// as a scan would. A probe no stored value can equal finds nothing; a float
+// that several integers round to makes the index decline, and the caller
+// scans.
+func TestLookupEqConvertsProbe(t *testing.T) {
+	db := compositeFixture(t)
+	mustWrite(t, db, func(tx *Tx) error {
+		if err := tx.CreateTable(&Schema{
+			Name: "kinds",
+			Columns: []Column{
+				{Name: "f", Type: TFloat},
+				{Name: "b", Type: TBool},
+				{Name: "s", Type: TString},
+			},
+		}); err != nil {
+			return err
+		}
+		for _, c := range []string{"f", "b", "s"} {
+			if err := tx.CreateIndex("ix_"+c, "kinds", []string{c}, HashIndex, false); err != nil {
+				return err
+			}
+		}
+		if _, err := tx.Insert("kinds", Row{Float(5), Bool(true), Str("x")}); err != nil {
+			return err
+		}
+		_, err := tx.Insert("kinds", Row{Float(math.Copysign(0, -1)), Bool(false), Str("y")})
+		return err
+	})
+	db.Read(func(tx *Tx) error {
+		for _, c := range []struct {
+			col   string
+			probe Value
+			want  int
+			used  bool
+		}{
+			{"f", Int(5), 1, true},   // BIGINT probe into DOUBLE
+			{"f", Float(0), 1, true}, // +0 finds -0
+			{"b", Int(1), 1, true},   // true = 1
+			{"b", Float(0), 1, true}, // false = 0.0
+			{"b", Int(5), 0, true},   // no boolean equals 5
+			{"s", Bytes([]byte("x")), 1, true},
+			{"s", Int(5), 0, true},          // numbers never equal strings
+			{"b", Float(0.5), 0, true},      // fractional: provably empty
+			{"b", Float(1 << 60), 0, false}, // too large to convert exactly
+			{"f", Null, 0, true},
+		} {
+			slots, used := tx.LookupEq("kinds", c.col, c.probe)
+			if used != c.used || len(slots) != c.want {
+				t.Errorf("kinds.%s = %#v: %d slots, used=%v; want %d, %v",
+					c.col, c.probe, len(slots), used, c.want, c.used)
+			}
+		}
+		// Composite lookups convert each value.
+		if slots, used := tx.LookupEqMulti("ilp", []string{"metric", "event"}, []Value{Float(2), Float(3)}); !used || len(slots) != 8 {
+			t.Errorf("composite float probe: %d slots, used=%v; want 8, true", len(slots), used)
+		}
+		if slots, used := tx.LookupEqMulti("ilp", []string{"metric", "event"}, []Value{Float(2.5), Int(3)}); !used || len(slots) != 0 {
+			t.Errorf("composite fractional probe: %d slots, used=%v; want 0, true", len(slots), used)
+		}
+		if _, used := tx.LookupEqMulti("ilp", []string{"metric", "event"}, []Value{Float(1 << 60), Int(3)}); used {
+			t.Error("composite inexact probe answered by the index")
+		}
+		if name := tx.EqIndex("kinds", "F"); name != "ix_f" {
+			t.Errorf("EqIndex(kinds, F) = %q", name)
+		}
+		if name := tx.EqIndex("kinds", "nope"); name != "" {
+			t.Errorf("EqIndex(kinds, nope) = %q", name)
 		}
 		return nil
 	})

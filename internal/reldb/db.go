@@ -589,8 +589,11 @@ func (tx *Tx) Row(table string, slot int) Row {
 }
 
 // LookupEq returns the slots whose column equals v, using an index when one
-// exists; the second result reports whether an index was used (false means
-// the caller must fall back to a scan).
+// exists. The probe is first converted to the column's type, so the slots
+// are exactly the rows Compare calls equal to v. The second result reports
+// whether the index answered: false means there is no index, or v is a
+// float too large to map onto an integer column exactly, and the caller
+// must scan. The slice belongs to the index and must not be modified.
 func (tx *Tx) LookupEq(table, column string, v Value) ([]int, bool) {
 	t := tx.db.tables[strings.ToLower(table)]
 	if t == nil {
@@ -600,12 +603,20 @@ func (tx *Tx) LookupEq(table, column string, v Value) ([]int, bool) {
 	if ix == nil {
 		return nil, false
 	}
-	return ix.lookup(v), true
+	key, kind := probeKey(v, t.schema.Columns[ix.cols[0]].Type)
+	switch kind {
+	case probeEmpty:
+		return nil, true
+	case probeInexact:
+		return nil, false
+	}
+	return ix.lookup(key), true
 }
 
 // LookupEqMulti returns the slots matching an equality on several columns
 // at once, using a composite hash index whose column set matches exactly.
-// The second result reports whether such an index existed.
+// Each value is converted to its column's type as in LookupEq. The second
+// result reports whether such an index existed and could answer.
 func (tx *Tx) LookupEqMulti(table string, columns []string, vals []Value) ([]int, bool) {
 	if len(columns) != len(vals) || len(columns) < 2 {
 		return nil, false
@@ -620,6 +631,7 @@ func (tx *Tx) LookupEqMulti(table string, columns []string, vals []Value) ([]int
 	}
 	// Reorder vals to the index's column order.
 	ordered := make([]Value, len(ix.Columns))
+	empty := false
 	for i, icol := range ix.Columns {
 		found := false
 		for j, c := range columns {
@@ -632,11 +644,32 @@ func (tx *Tx) LookupEqMulti(table string, columns []string, vals []Value) ([]int
 		if !found {
 			return nil, false
 		}
-		if ordered[i].IsNull() {
-			return nil, true // NULL never matches an index entry
+		key, kind := probeKey(ordered[i], t.schema.Columns[ix.cols[i]].Type)
+		switch kind {
+		case probeInexact:
+			return nil, false
+		case probeEmpty:
+			empty = true
 		}
+		ordered[i] = key
+	}
+	if empty {
+		return nil, true
 	}
 	return ix.lookupVals(ordered), true
+}
+
+// EqIndex returns the name of the index LookupEq uses for column, or ""
+// when the table has none.
+func (tx *Tx) EqIndex(table, column string) string {
+	t := tx.db.tables[strings.ToLower(table)]
+	if t == nil {
+		return ""
+	}
+	if ix := t.indexOn(column, false); ix != nil {
+		return ix.Name
+	}
+	return ""
 }
 
 // IndexOn reports whether the table has an index usable for equality

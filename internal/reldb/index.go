@@ -171,6 +171,45 @@ func (ix *Index) lookup(v Value) []int {
 	return ix.tree.get(v)
 }
 
+// probeKind classifies how an index answers one equality probe.
+type probeKind uint8
+
+const (
+	probeExact   probeKind = iota // the converted key finds exactly the equal rows
+	probeEmpty                    // no stored value can compare equal
+	probeInexact                  // several stored keys may compare equal: scan
+)
+
+// probeKey converts an equality probe value to the representation stored in
+// a column of type t, so that a hash lookup finds exactly the rows Compare
+// calls equal to v. Stored values always carry the column's type
+// (Table.normalize coerces them), while Compare equates values across the
+// numeric types and across strings and byte strings. A float of magnitude
+// 2^53 or more compares equal to several integers, so it is inexact against
+// an integer column.
+func probeKey(v Value, t Type) (Value, probeKind) {
+	switch {
+	case v.T == t:
+		return v, probeExact
+	case v.numeric() && t == TFloat:
+		return Float(v.AsFloat()), probeExact
+	case v.numeric() && (t == TInt || t == TBool || t == TTime):
+		if v.T != TFloat {
+			return Value{T: t, I: v.I}, probeExact
+		}
+		if math.Abs(v.F) >= 1<<53 {
+			return Null, probeInexact
+		}
+		if v.F != math.Trunc(v.F) {
+			return Null, probeEmpty
+		}
+		return Value{T: t, I: int64(v.F)}, probeExact
+	case (v.T == TString || v.T == TBytes) && (t == TString || t == TBytes):
+		return Value{T: t, S: v.S}, probeExact
+	}
+	return Null, probeEmpty
+}
+
 // lookupVals returns the slots matching a full key tuple.
 func (ix *Index) lookupVals(vals []Value) []int {
 	if ix.multi != nil {

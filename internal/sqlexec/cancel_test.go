@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,5 +253,74 @@ func TestStatementAccounting(t *testing.T) {
 		if si.ID == entry.ID() {
 			t.Fatal("finished statement still in snapshot")
 		}
+	}
+}
+
+// probeFixture adds to the cancellation fixture an index on big.grp and a
+// 37-row table of its group names, so a join from probe onto big takes the
+// index nested-loop path and every big row is a candidate.
+func probeFixture(t *testing.T, nrows int) *reldb.DB {
+	t.Helper()
+	db := cancelFixture(t, nrows)
+	run(t, db, "CREATE INDEX ix_big_grp ON big (grp)")
+	run(t, db, "CREATE TABLE probe (g VARCHAR)")
+	for i := 0; i < 37; i++ {
+		run(t, db, "INSERT INTO probe VALUES (?)", reldb.Str(fmt.Sprintf("g%d", i)))
+	}
+	return db
+}
+
+// TestKillMidIndexJoin: a KILL landing while an index nested-loop join is
+// probing unwinds the statement with no result.
+func TestKillMidIndexJoin(t *testing.T) {
+	db := probeFixture(t, 300_000)
+	retryKill(t, db, `SELECT COUNT(*), SUM(b.x) FROM probe p JOIN big b ON b.grp = p.g`, 1,
+		func(e *StmtEntry) bool { return StmtPhase(e.phase.Load()) == PhaseExecute })
+}
+
+// TestKillIndexJoinBound: the probe polls for cancellation per left row and
+// per fetched candidate, so a kill that lands before the join unwinds it
+// within cancelCheckRows candidates, even though each key matches far more
+// rows than that.
+func TestKillIndexJoinBound(t *testing.T) {
+	db := probeFixture(t, 100*int(cancelCheckRows))
+	src := `SELECT COUNT(*) FROM probe p JOIN big b ON b.grp = p.g`
+	st, err := sqlparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := st.(*sqlparse.Select)
+	entry := Statements.Begin(src, "query")
+	defer entry.Finish()
+	if err := db.Read(func(tx *reldb.Tx) error {
+		q := &query{tx: tx, st: sel, cols: newColmap(), opts: Options{Stmt: entry}}
+		if _, err := q.bind(sel.From); err != nil {
+			return err
+		}
+		left, err := q.scanAll("probe")
+		if err != nil {
+			return err
+		}
+		if !Statements.Kill(entry.ID()) {
+			t.Fatal("Kill did not find the registered statement")
+		}
+		polled, scanned := q.polled, q.scanned
+		if _, err := q.execJoin(left, sel.Joins[0]); !errors.Is(err, ErrStatementKilled) {
+			t.Fatalf("killed join returned %v, want ErrStatementKilled", err)
+		}
+		if !strings.Contains(q.joins[0], "index nested-loop join") {
+			t.Fatalf("join strategy %q, want the index nested-loop join", q.joins[0])
+		}
+		if n := q.polled - polled; n > cancelCheckRows {
+			t.Fatalf("join ran %d polls after the kill, want at most %d", n, cancelCheckRows)
+		}
+		// Each key matches ~2,800 rows: the kill must land inside the first
+		// key's fetch, before its rows are counted as scanned.
+		if q.scanned != scanned {
+			t.Fatalf("join fetched %d rows before it polled", q.scanned-scanned)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -416,6 +416,7 @@ func planAccess(tx *reldb.Tx, table, alias string, where sqlparse.Expr, params [
 	// IN-lists and IN-subqueries on an indexed column become a union of
 	// point lookups (this keeps e.g. core.DeleteTrial's
 	// "WHERE fk IN (SELECT id ...)" statements off the full-scan path).
+inLists:
 	for _, c := range conjuncts {
 		in, ok := c.(*sqlparse.InList)
 		if !ok || in.Neg {
@@ -457,7 +458,10 @@ func planAccess(tx *reldb.Tx, table, alias string, where sqlparse.Expr, params [
 			if v.IsNull() {
 				continue
 			}
-			s, _ := tx.LookupEq(table, col, v)
+			s, used := tx.LookupEq(table, col, v)
+			if !used {
+				continue inLists // the index cannot answer v exactly
+			}
 			for _, slot := range s {
 				if !seen[slot] {
 					seen[slot] = true

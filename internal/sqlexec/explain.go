@@ -11,8 +11,11 @@ import (
 // Explain describes, without executing the query, the access path the
 // executor would take: the base-table strategy (index point lookup, index
 // range scan, IN-union, or full scan) and the algorithm for each join
-// (hash join on its equality key, or nested loop). The result is a single
-// "plan" column with one row per step.
+// (hash join on its equality key, or nested loop). A keyed join whose right
+// table has an equality index on the key also names that index and the
+// left-side row count below which the executor probes it instead of
+// hashing; the choice is made at run time, and EXPLAIN ANALYZE reports it.
+// The result is a single "plan" column with one row per step.
 func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSet, error) {
 	rs := &ResultSet{Cols: []string{"plan"}}
 	add := func(format string, args ...any) {
@@ -45,13 +48,14 @@ func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSe
 		if err := bindRef(tx, cols, join.TableRef, params); err != nil {
 			return nil, err
 		}
-		kind := "inner"
-		if join.Kind == sqlparse.LeftJoin {
-			kind = "left"
-		}
+		kind := joinKind(join)
 		if l, r, ok := findHashKey(cols, leftWidth, join.On); ok {
-			add("%s hash join %s (build %s, key cols %d=%d)",
+			step := fmt.Sprintf("%s hash join %s (build %s, key cols %d=%d)",
 				kind, describeRef(join.TableRef), join.Table, l, r)
+			if ix, n := joinIndex(tx, join, true, r); ix != "" {
+				step += fmt.Sprintf(", or index nested-loop join via %s when the left side has fewer than %d rows", ix, n)
+			}
+			add("%s", step)
 		} else {
 			add("%s nested-loop join %s", kind, describeRef(join.TableRef))
 		}

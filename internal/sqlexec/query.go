@@ -33,9 +33,10 @@ type query struct {
 	fields  []field // ordered bound columns, for SELECT *
 	sp      *obs.Span
 	opts    Options
-	scanned int64 // rows fetched from storage (base + join inputs)
-	polled  int64 // row-loop iterations since the last cancellation check
-	par     int   // widest worker fan-out this execution used (0 = serial)
+	scanned int64    // rows fetched from storage (base + join inputs)
+	polled  int64    // row-loop iterations since the last cancellation check
+	par     int      // widest worker fan-out this execution used (0 = serial)
+	joins   []string // strategy each join took, for the span's PlanSummary
 
 	// Columnar execution state (see columnar.go). When tryColumnarAggregate
 	// handles the query, scan, filter and aggregation are already done and
@@ -315,6 +316,9 @@ func (q *query) run() (*ResultSet, error) {
 		} else if q.par > 1 {
 			q.sp.PlanSummary += fmt.Sprintf(" parallel(%d)", q.par)
 		}
+		for _, j := range q.joins {
+			q.sp.PlanSummary += "; " + j
+		}
 		q.sp.Materialize += since(mark)
 		q.sp.RowsScanned += q.scanned
 		q.sp.RowsReturned += int64(len(out))
@@ -334,8 +338,13 @@ func (q *query) liveRows(table string) int {
 
 // execJoin joins the accumulated rows with one more table. When the ON
 // clause contains an equality between an already-bound column and a column
-// of the new table, a hash join is used; the complete ON expression is
-// still evaluated on each candidate pair.
+// of the new table, the candidates for each left row come from that key:
+// through the new table's equality index when it is a base table with one
+// and the left side has fewer rows than the table (index nested-loop join),
+// else from a hash table built over all its rows (hash join). Without such
+// a key every row is a candidate (nested-loop join). Candidates arrive in
+// slot order on every path, and the complete ON expression is evaluated on
+// each candidate pair.
 func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, error) {
 	leftWidth := q.cols.width
 	derived, err := q.bind(join.TableRef)
@@ -343,31 +352,50 @@ func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, err
 		return nil, err
 	}
 	rightWidth := q.cols.width - leftWidth
+	leftPos, rightPos, keyed := findHashKey(q.cols, leftWidth, join.On)
+	leftKey := func(l reldb.Row) reldb.Value {
+		if leftPos < len(l) {
+			return l[leftPos]
+		}
+		return reldb.Null
+	}
 
-	var rightRows []reldb.Row
-	if join.Sub != nil || virtualRef(join.TableRef) {
-		rightRows = derived
+	var candidates func(l reldb.Row) ([]reldb.Row, error)
+	strategy := "nested-loop join"
+	via := ""
+	if ix, n := joinIndex(q.tx, join, keyed, rightPos); ix != "" && len(rows) < n {
+		strategy, via = "index nested-loop join", " via "+ix
+		candidates, err = q.indexProbe(join.Table, rightPos, leftKey)
+		if err != nil {
+			return nil, err
+		}
 	} else {
-		var scanErr error
-		q.tx.Scan(join.Table, func(_ int, row reldb.Row) bool { //nolint:errcheck // table verified by bind
-			if scanErr = q.pollEvery(); scanErr != nil {
-				return false
+		rightRows := derived
+		if join.Sub == nil && !virtualRef(join.TableRef) {
+			if rightRows, err = q.scanAll(join.Table); err != nil {
+				return nil, err
 			}
-			rightRows = append(rightRows, row)
-			return true
-		})
-		if scanErr != nil {
-			return nil, scanErr
+		}
+		q.scanned += int64(len(rightRows))
+		candidates = func(reldb.Row) ([]reldb.Row, error) { return rightRows, nil }
+		if keyed {
+			strategy = "hash join"
+			ht := make(map[reldb.Value][]reldb.Row, len(rightRows))
+			for _, r := range rightRows {
+				if err := q.pollEvery(); err != nil {
+					return nil, err
+				}
+				if k := r[rightPos]; !k.IsNull() {
+					hk := hashKey(k)
+					ht[hk] = append(ht[hk], r)
+				}
+			}
+			candidates = func(l reldb.Row) ([]reldb.Row, error) {
+				return ht[hashKey(leftKey(l))], nil
+			}
 		}
 	}
-	q.scanned += int64(len(rightRows))
-
-	// Find a hashable equality: leftPos (in accumulated row) vs rightPos
-	// (in the new table's row).
-	leftPos, rightPos := -1, -1
-	if l, r, ok := findHashKey(q.cols, leftWidth, join.On); ok {
-		leftPos, rightPos = l, r
-	}
+	q.joins = append(q.joins, joinKind(join)+" "+strategy+" "+describeRef(join.TableRef)+via)
 
 	ev := &env{cols: q.cols, params: q.params, tx: q.tx}
 	onMatch := func(l, r reldb.Row) (bool, error) {
@@ -395,57 +423,16 @@ func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, err
 		result = append(result, combined)
 	}
 
-	if leftPos >= 0 {
-		// Hash join.
-		ht := make(map[reldb.Value][]reldb.Row, len(rightRows))
-		for _, r := range rightRows {
-			if err := q.pollEvery(); err != nil {
-				return nil, err
-			}
-			k := r[rightPos]
-			if k.IsNull() {
-				continue
-			}
-			ht[k] = append(ht[k], r)
-		}
-		for _, l := range rows {
-			if err := q.pollEvery(); err != nil {
-				return nil, err
-			}
-			matched := false
-			var key reldb.Value
-			if leftPos < len(l) {
-				key = l[leftPos]
-			}
-			if !key.IsNull() {
-				for _, r := range ht[key] {
-					if err := q.pollEvery(); err != nil {
-						return nil, err
-					}
-					ok, err := onMatch(l, r)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						emit(l, r)
-					}
-				}
-			}
-			if !matched && join.Kind == sqlparse.LeftJoin {
-				emit(l, nil)
-			}
-		}
-		return result, nil
-	}
-
-	// Nested-loop join.
 	for _, l := range rows {
 		if err := q.pollEvery(); err != nil {
 			return nil, err
 		}
 		matched := false
-		for _, r := range rightRows {
+		cands, err := candidates(l)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range cands {
 			if err := q.pollEvery(); err != nil {
 				return nil, err
 			}
@@ -463,6 +450,109 @@ func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, err
 		}
 	}
 	return result, nil
+}
+
+// joinIndex returns the equality index an index nested-loop join could
+// probe, with the table's live row count, or "" when the right side is
+// derived or a catalog table, the ON clause has no equality key, or the key
+// column has no equality index. The executor probes only when the left side
+// has fewer rows than the table; otherwise one scan costs less than a probe
+// per left row.
+func joinIndex(tx *reldb.Tx, join sqlparse.Join, keyed bool, rightPos int) (string, int) {
+	if !keyed || join.Sub != nil || virtualRef(join.TableRef) {
+		return "", 0
+	}
+	tbl, err := tx.Table(join.Table)
+	if err != nil {
+		return "", 0
+	}
+	return tx.EqIndex(join.Table, tbl.Schema().Columns[rightPos].Name), tbl.Len()
+}
+
+// indexProbe returns an index nested-loop join's candidate source: the
+// rows of table whose key column equals the left row's key, fetched
+// through the column's equality index in ascending slot order, which is
+// the order a scan yields them. Only fetched rows count as scanned.
+func (q *query) indexProbe(table string, rightPos int, leftKey func(reldb.Row) reldb.Value) (func(reldb.Row) ([]reldb.Row, error), error) {
+	tbl, err := q.tx.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	col := tbl.Schema().Columns[rightPos].Name
+	// buf is reused across calls: execJoin is done with one left row's
+	// candidates before it asks for the next row's.
+	var buf, all []reldb.Row
+	return func(l reldb.Row) ([]reldb.Row, error) {
+		key := leftKey(l)
+		if key.IsNull() {
+			return nil, nil
+		}
+		slots, ok := q.tx.LookupEq(table, col, key)
+		if !ok {
+			// The index cannot answer this key exactly (see
+			// reldb.Tx.LookupEq): every row is a candidate.
+			if all == nil {
+				var err error
+				if all, err = q.scanAll(table); err != nil {
+					return nil, err
+				}
+				q.scanned += int64(len(all))
+			}
+			return all, nil
+		}
+		if !sort.IntsAreSorted(slots) {
+			// Deletes reorder an index's slot list; never sort it in place.
+			slots = append([]int(nil), slots...)
+			sort.Ints(slots)
+		}
+		buf = buf[:0]
+		for _, slot := range slots {
+			if err := q.pollEvery(); err != nil {
+				return nil, err
+			}
+			if r := tbl.RowAt(slot); r != nil {
+				buf = append(buf, r)
+			}
+		}
+		q.scanned += int64(len(buf))
+		return buf, nil
+	}, nil
+}
+
+// scanAll returns every live row of a base table in slot order.
+func (q *query) scanAll(table string) ([]reldb.Row, error) {
+	var rows []reldb.Row
+	var scanErr error
+	q.tx.Scan(table, func(_ int, row reldb.Row) bool { //nolint:errcheck // table verified by bind
+		if scanErr = q.pollEvery(); scanErr != nil {
+			return false
+		}
+		rows = append(rows, row)
+		return true
+	})
+	return rows, scanErr
+}
+
+// hashKey maps a join key to its hash-table bucket. Compare equates values
+// across the numeric types and across strings and byte strings, but a Go
+// map compares type tags, so numbers bucket as float64 and byte strings as
+// strings. A bucket may hold pairs Compare tells apart (integers beyond
+// 2^53); the ON re-check drops them.
+func hashKey(v reldb.Value) reldb.Value {
+	switch v.T {
+	case reldb.TInt, reldb.TBool, reldb.TTime:
+		return reldb.Float(float64(v.I))
+	case reldb.TBytes:
+		return reldb.Str(v.S)
+	}
+	return v
+}
+
+func joinKind(join sqlparse.Join) string {
+	if join.Kind == sqlparse.LeftJoin {
+		return "left"
+	}
+	return "inner"
 }
 
 // expandItems replaces * items with explicit column references and derives
