@@ -4,6 +4,7 @@
 # determinism, metric names, atomic access, cancellation polling;
 # `lint-global` runs the whole-module interprocedural ones — lock
 # ordering and span/goroutine lifecycle; see docs/STATIC_ANALYSIS.md),
+# a freshness check on the committed SQL fuzz seed corpus (`seed-check`),
 # full build, the race-enabled test suite, a 10-second fuzz pass over the
 # SQL parser, the reldb value codec, the columnar segment encoders and
 # the index-join/hash-join differential (`fuzz-smoke`), and one-shot smoke runs of the observability
@@ -19,9 +20,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-global build test race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke bench bench-parallel bench-columnar bench-trace experiments clean
+.PHONY: check vet lint lint-global seed-check seed-corpus build test race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke bench bench-parallel bench-columnar bench-trace experiments clean
 
-check: vet lint lint-global build race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke
+check: vet lint lint-global seed-check build race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +41,22 @@ lint-global:
 	$(GO) build -o bin/perfdmf-vet ./cmd/perfdmf-vet
 	bin/perfdmf-vet -analyzers lockorder,lifecycle ./...
 
+# The SQL fuzz seed corpus must list exactly the statements perfdmf-vet
+# -dump-sql extracts from the repo today (the dump is deterministic), so
+# FuzzParse always starts from every statement the code issues. Refresh it
+# with `make seed-corpus`.
+seed-check:
+	$(GO) build -o bin/perfdmf-vet ./cmd/perfdmf-vet
+	@bin/perfdmf-vet -dump-sql ./... > bin/sql_seed.txt
+	@cmp -s bin/sql_seed.txt internal/sqlparse/testdata/sql_seed.txt || { \
+		echo "seed-check: internal/sqlparse/testdata/sql_seed.txt is stale; run make seed-corpus"; \
+		diff internal/sqlparse/testdata/sql_seed.txt bin/sql_seed.txt | head -20; exit 1; }
+	@echo "seed-check: ok"
+
+seed-corpus:
+	$(GO) build -o bin/perfdmf-vet ./cmd/perfdmf-vet
+	bin/perfdmf-vet -dump-sql ./... > internal/sqlparse/testdata/sql_seed.txt
+
 build:
 	$(GO) build ./...
 
@@ -52,7 +69,7 @@ race:
 # 10 seconds of fuzzing per target (Go allows one -fuzz per invocation):
 # FuzzParse runs the parser over the committed SQL seed corpus
 # (internal/sqlparse/testdata/sql_seed.txt, regenerated with
-# `bin/perfdmf-vet -dump-sql`) plus mutations; FuzzValueRoundTrip pounds
+# `make seed-corpus` and checked by `seed-check`) plus mutations; FuzzValueRoundTrip pounds
 # the reldb snapshot/WAL value codec; FuzzSegmentRoundTrip drives the
 # columnar segment encoders (raw/FOR/RLE ints, dict/raw strings) from
 # the committed corpus in internal/reldb/testdata/fuzz;

@@ -295,9 +295,11 @@ func (c *conn) Begin() error {
 	return nil
 }
 
-// TryBegin implements TxTrier: it starts a transaction only when the
-// engine's write lock is immediately free, reporting ok=false (with no
-// error) when another transaction holds it.
+// TryBegin starts a transaction only when the engine's write lock is
+// immediately free, reporting ok=false (with no error) when another
+// transaction holds it. The telemetry writer uses it to turn lock
+// contention into a sampling-governor stall instead of queueing behind the
+// workload it measures.
 func (c *conn) TryBegin() (bool, error) {
 	if err := c.check(); err != nil {
 		return false, err

@@ -132,19 +132,6 @@ type Conn interface {
 	Close() error
 }
 
-// TxTrier is implemented by connections that can start a transaction
-// without waiting for the engine's write lock. Like SpanBinder it is
-// deliberately not part of the Conn interface: callers type-assert and
-// fall back to the blocking Begin, so drivers without non-blocking
-// transactions keep working. The telemetry writer depends on it to turn
-// lock contention into a sampling-governor stall instead of queueing
-// behind the workload it measures.
-type TxTrier interface {
-	// TryBegin starts a transaction if the write lock is immediately
-	// available, returning ok=false (and no error) when it is held.
-	TryBegin() (bool, error)
-}
-
 var (
 	driversMu sync.RWMutex
 	drivers   = make(map[string]Driver)

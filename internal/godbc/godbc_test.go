@@ -192,10 +192,7 @@ func TestTryBegin(t *testing.T) {
 	c2 := openT(t, dsn)
 	c1.Exec("CREATE TABLE t (a BIGINT)")
 
-	trier, ok := c2.(TxTrier)
-	if !ok {
-		t.Fatal("built-in connection does not implement TxTrier")
-	}
+	trier := c2.(*conn)
 
 	// Uncontended: TryBegin opens a real transaction.
 	if ok, err := trier.TryBegin(); err != nil || !ok {
@@ -233,17 +230,8 @@ func TestTryBegin(t *testing.T) {
 
 	// Read-only connections refuse transactions outright.
 	ro := openT(t, dsn+"?readonly=1")
-	if ok, err := ro.(TxTrier).TryBegin(); err == nil || ok {
+	if ok, err := ro.(*conn).TryBegin(); err == nil || ok {
 		t.Fatalf("read-only TryBegin = (%v, %v), want (false, error)", ok, err)
-	}
-
-	// The blocking fallback: TryBeginConn on a Conn without TxTrier (or
-	// with it, here) still lands a transaction.
-	if ok, err := TryBeginConn(c2); err != nil || !ok {
-		t.Fatalf("TryBeginConn = (%v, %v), want (true, nil)", ok, err)
-	}
-	if err := c2.Rollback(); err != nil {
-		t.Fatal(err)
 	}
 }
 

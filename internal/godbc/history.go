@@ -255,7 +255,7 @@ func (ts *TelemetryStore) persistSample(s obs.HistorySample) {
 		return
 	}
 	start := time.Now()
-	ok, err := TryBeginConn(ts.conn)
+	ok, err := ts.conn.TryBegin()
 	if err == nil && !ok {
 		mHistPersistStalls.Inc()
 		ts.gov.ReportStall()
@@ -296,7 +296,7 @@ func (ts *TelemetryStore) persistTransitions() {
 		return
 	}
 	start := time.Now()
-	ok, err := TryBeginConn(ts.conn)
+	ok, err := ts.conn.TryBegin()
 	if err == nil && !ok {
 		ts.gov.ReportStall()
 		return

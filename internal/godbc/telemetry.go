@@ -217,7 +217,7 @@ var (
 // guaranteed to be committed by the time Close returns, unless the commit
 // itself failed — which is counted and reported, never silent.
 type TelemetryStore struct {
-	conn    Conn
+	conn    *conn
 	insSpan Stmt
 	insSlow Stmt
 	gov     *obs.Governor
@@ -259,20 +259,23 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 	if err != nil {
 		return nil, err
 	}
-	c, err := Open(dsn)
+	dc, err := Open(dsn)
 	if err != nil {
 		return nil, fmt.Errorf("godbc: telemetry store: %w", err)
 	}
-	if cc, ok := c.(*conn); ok {
-		cc.quiet = true
-		// Span batches ride relaxed commits: group durability is batched
-		// so telemetry fsyncs never contend with the workload's own.
-		cc.relaxed = true
-		// The store must be able to write regardless of DSN observability
-		// options; per-connection trace/slowms make no sense on a quiet
-		// connection.
-		cc.obs = obsOpts{}
+	c, ok := dc.(*conn)
+	if !ok {
+		dc.Close()
+		return nil, fmt.Errorf("godbc: telemetry store: %s is not a built-in perfdmf connection", dsn)
 	}
+	c.quiet = true
+	// Span batches ride relaxed commits: group durability is batched so
+	// telemetry fsyncs never contend with the workload's own.
+	c.relaxed = true
+	// The store must be able to write regardless of DSN observability
+	// options; per-connection trace/slowms make no sense on a quiet
+	// connection.
+	c.obs = obsOpts{}
 	for _, ddl := range telemetryDDL {
 		if _, err := c.Exec(ddl); err != nil {
 			c.Close()
@@ -512,7 +515,7 @@ func (ts *TelemetryStore) commitGroup(group []obs.SinkEntry) error {
 // — committed, or failed with the error counted.
 func (ts *TelemetryStore) tryCommitGroup(group []obs.SinkEntry) bool {
 	start := time.Now()
-	ok, err := TryBeginConn(ts.conn)
+	ok, err := ts.conn.TryBegin()
 	if err == nil && !ok {
 		mTelWriterStalls.Inc()
 		ts.gov.ReportStall()
@@ -523,15 +526,6 @@ func (ts *TelemetryStore) tryCommitGroup(group []obs.SinkEntry) bool {
 	}
 	ts.finishGroup(group, time.Since(start), err) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
 	return true
-}
-
-// TryBeginConn starts a non-blocking transaction on c when it implements
-// TxTrier, falling back to the blocking Begin (reported as ok) otherwise.
-func TryBeginConn(c Conn) (bool, error) {
-	if tt, ok := c.(TxTrier); ok {
-		return tt.TryBegin()
-	}
-	return true, c.Begin()
 }
 
 // finishGroup settles one consumed group: governor feedback, queue

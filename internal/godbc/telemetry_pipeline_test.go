@@ -361,3 +361,36 @@ func TestCatalogTelemetry(t *testing.T) {
 		t.Fatalf("OBS_TELEMETRY after stop = %v, want active=false", out)
 	}
 }
+
+// wrappedDriver opens built-in connections behind a foreign Conn type, the
+// shape of a third-party driver layered over the engine.
+type wrappedDriver struct{}
+
+type wrappedConn struct{ Conn }
+
+var registerWrapped sync.Once
+
+func (wrappedDriver) Open(rest string) (Conn, error) {
+	c, err := Open("mem:" + rest)
+	if err != nil {
+		return nil, err
+	}
+	return wrappedConn{c}, nil
+}
+
+// TestTelemetryStoreRequiresBuiltinConn: the store's writer depends on the
+// built-in connection's quiet, relaxed and non-blocking transaction modes,
+// so a DSN whose driver returns any other Conn fails up front instead of
+// persisting through a connection that would trace itself and fsync per
+// commit.
+func TestTelemetryStoreRequiresBuiltinConn(t *testing.T) {
+	registerWrapped.Do(func() { Register("wrapped-telemetry-test", wrappedDriver{}) })
+	ts, err := OpenTelemetryStore("wrapped-telemetry-test:telemetry_wrapped", TelemetryOptions{})
+	if err == nil {
+		ts.Close()
+		t.Fatal("OpenTelemetryStore accepted a non-built-in connection")
+	}
+	if !strings.Contains(err.Error(), "not a built-in perfdmf connection") {
+		t.Fatalf("OpenTelemetryStore error = %v", err)
+	}
+}

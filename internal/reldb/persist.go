@@ -101,8 +101,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 
 	walPath := filepath.Join(dir, walFile)
-	if f, err := os.Open(walPath); err == nil {
-		n, err2 := db.replayWAL(bufio.NewReaderSize(f, 1<<20))
+	if f, err := os.OpenFile(walPath, os.O_RDWR, 0); err == nil {
+		n, err2 := db.recoverWAL(f)
 		f.Close()
 		if err2 != nil {
 			return nil, fmt.Errorf("reldb: replay wal %s: %w", walPath, err2)
@@ -652,45 +652,66 @@ func encodeWALRecord(b *bytes.Buffer, r *walRecord) {
 	}
 }
 
-// replayWAL applies logged batches to the in-memory state, stopping cleanly
-// at a torn final batch (the expected crash shape). It returns the number
-// of operations applied.
-func (db *DB) replayWAL(br *bufio.Reader) (int, error) {
-	ops := 0
+// recoverWAL replays the log in f and truncates a torn tail away, syncing
+// the truncation, so the next commit appends right after the last complete
+// batch instead of after bytes a later replay would misread as a batch.
+func (db *DB) recoverWAL(f *os.File) (int, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	ops, good, err := db.replayWAL(bufio.NewReaderSize(f, 1<<20), fi.Size())
+	if err != nil || good == fi.Size() {
+		return ops, err
+	}
+	if err := f.Truncate(good); err != nil {
+		return ops, err
+	}
+	return ops, f.Sync()
+}
+
+// replayWAL applies logged batches from a log of size bytes to the
+// in-memory state, stopping cleanly at a torn final batch (the expected
+// crash shape): a short header, a header declaring more bytes than remain,
+// or a short payload. It returns the number of operations applied and the
+// offset just past the last complete batch. A complete batch whose
+// checksum does not match is corruption, not a torn tail, and fails.
+func (db *DB) replayWAL(br *bufio.Reader, size int64) (ops int, good int64, err error) {
 	for {
 		var hdr [12]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return ops, nil
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return ops, good, nil // clean end or torn header
 			}
-			if err == io.ErrUnexpectedEOF {
-				return ops, nil // torn header
-			}
-			return ops, err
+			return ops, good, err
 		}
 		n := binary.LittleEndian.Uint64(hdr[0:])
 		want := binary.LittleEndian.Uint32(hdr[8:])
+		if n > uint64(size-good-int64(len(hdr))) {
+			return ops, good, nil // torn batch: its bytes never all landed
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return ops, nil // torn batch
+				return ops, good, nil // torn batch
 			}
-			return ops, err
+			return ops, good, err
 		}
 		if crc32.ChecksumIEEE(payload) != want {
-			return ops, fmt.Errorf("wal batch checksum mismatch")
+			return ops, good, fmt.Errorf("wal batch checksum mismatch")
 		}
 		d := &reader{r: bufio.NewReader(bytes.NewReader(payload))}
 		nrec := d.uvarint()
 		for i := uint64(0); i < nrec; i++ {
 			if err := db.applyWALRecord(d); err != nil {
-				return ops, err
+				return ops, good, err
 			}
 			if d.err != nil {
-				return ops, d.err
+				return ops, good, d.err
 			}
 			ops++
 		}
+		good += int64(len(hdr)) + int64(n)
 	}
 }
 

@@ -1,8 +1,11 @@
 package reldb
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -205,6 +208,137 @@ func TestTornWALTail(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// appNames returns the application names in slot order.
+func appNames(t *testing.T, db *DB) []string {
+	t.Helper()
+	var names []string
+	if err := db.Read(func(tx *Tx) error {
+		return tx.Scan("application", func(_ int, r Row) bool {
+			names = append(names, r[1].S)
+			return true
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// insertApp commits one application row in its own transaction (one WAL
+// batch).
+func insertApp(t *testing.T, db *DB, name string) {
+	t.Helper()
+	mustWrite(t, db, func(tx *Tx) error {
+		_, err := tx.Insert("application", Row{Null, Str(name), Null})
+		return err
+	})
+}
+
+// TestTornWALTailThenCommit: recovery from a torn tail must cut the WAL
+// back to its last complete batch, so a commit made after the recovery is
+// itself recovered by the next open instead of landing behind torn bytes.
+func TestTornWALTailThenCommit(t *testing.T) {
+	db, dir := openTemp(t, Options{Sync: true})
+	mustWrite(t, db, func(tx *Tx) error { return tx.CreateTable(appSchema()) })
+	insertApp(t, db, "kept")
+	insertApp(t, db, "torn")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walFile)
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(dir, Options{Sync: true})
+	if err != nil {
+		t.Fatalf("open with torn wal: %v", err)
+	}
+	if got := appNames(t, db2); !reflect.DeepEqual(got, []string{"kept"}) {
+		t.Fatalf("after torn-tail recovery: %v, want [kept]", got)
+	}
+	insertApp(t, db2, "after")
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after post-recovery commit: %v", err)
+	}
+	defer db3.Close()
+	if got := appNames(t, db3); !reflect.DeepEqual(got, []string{"kept", "after"}) {
+		t.Fatalf("after second reopen: %v, want [kept after]", got)
+	}
+}
+
+// TestWALHugeDeclaredLength: a final header whose declared length exceeds
+// the bytes left in the file is a torn batch. It must neither be trusted
+// as an allocation size nor fail the open; the database opens to the
+// prefix and keeps accepting durable commits.
+func TestWALHugeDeclaredLength(t *testing.T) {
+	db, dir := openTemp(t, Options{})
+	mustWrite(t, db, func(tx *Tx) error { return tx.CreateTable(appSchema()) })
+	insertApp(t, db, "kept")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walFile)
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [12]byte
+	binary.LittleEndian.PutUint64(hdr[0:], 1<<62)
+	if _, err := f.Write(append(hdr[:], "partial"...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open with oversized final header: %v", err)
+	}
+	if got := appNames(t, db2); !reflect.DeepEqual(got, []string{"kept"}) {
+		t.Fatalf("after recovery: %v, want [kept]", got)
+	}
+	insertApp(t, db2, "after")
+	db3 := reopen(t, db2, dir, Options{})
+	defer db3.Close()
+	if got := appNames(t, db3); !reflect.DeepEqual(got, []string{"kept", "after"}) {
+		t.Fatalf("after reopen: %v, want [kept after]", got)
+	}
+}
+
+// TestWALChecksumMismatchFailsOpen: a complete batch with a bad checksum
+// is corruption, not a torn tail, and must fail the open rather than be
+// silently truncated away.
+func TestWALChecksumMismatchFailsOpen(t *testing.T) {
+	db, dir := openTemp(t, Options{})
+	mustWrite(t, db, func(tx *Tx) error { return tx.CreateTable(appSchema()) })
+	insertApp(t, db, "a")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walFile)
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff // last payload byte of the last batch
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("open with corrupt batch: err=%v, want checksum mismatch", err)
+	}
 }
 
 func TestSnapshotPreservesValueTypes(t *testing.T) {

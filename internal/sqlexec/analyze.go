@@ -3,8 +3,6 @@ package sqlexec
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"perfdmf/internal/reldb"
 	"perfdmf/internal/sqlparse"
@@ -141,8 +139,8 @@ func newColStats(n int) []colStats {
 
 // analyzeTable computes and persists one table's statistics, returning the
 // number of statistics rows written (one per column). The scan reuses the
-// executor's partitioned layout: partitions are claimed off an atomic
-// queue, folded into per-partition partials, and merged in partition order.
+// executor's partitioned layout and worker pool: partitions fold into
+// per-partition partials, which merge in partition order.
 func analyzeTable(tx *reldb.Tx, table string, opts Options) (int64, error) {
 	tbl, err := tx.Table(table)
 	if err != nil {
@@ -156,60 +154,31 @@ func analyzeTable(tx *reldb.Tx, table string, opts Options) (int64, error) {
 		rows  []reldb.Row
 		stats []colStats
 		count int64
-		err   error
 	}
 	var parts []*part
 	workers := opts.effectiveWorkers()
 	tx.ScanPartitioned(table, workers*partsPerWorker, func(_, _ int, rows []reldb.Row) { //nolint:errcheck // table verified above
 		parts = append(parts, &part{rows: rows})
 	})
-	if workers > len(parts) {
-		workers = len(parts)
+	workers = min(workers, len(parts))
+	if workers > 1 && stmt != nil {
+		stmt.workers.Store(int32(workers))
 	}
-	if workers > 1 {
-		if stmt != nil {
-			stmt.workers.Store(int32(workers))
+	err = runParts(len(parts), workers, stmt, func() func(int) error {
+		return func(i int) error {
+			p := parts[i]
+			var err error
+			p.stats, p.count, err = foldStatsPart(p.rows, ncols, stmt)
+			return err
 		}
-		var (
-			next atomic.Int64
-			stop atomic.Bool
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					i := int(next.Add(1)) - 1
-					if i >= len(parts) {
-						return
-					}
-					p := parts[i]
-					if p.err = foldStatsPart(p.rows, ncols, stmt, &p.stats, &p.count); p.err != nil {
-						stop.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, p := range parts {
-			if p.err = foldStatsPart(p.rows, ncols, stmt, &p.stats, &p.count); p.err != nil {
-				break
-			}
-		}
+	})
+	if err != nil {
+		return 0, err
 	}
 
 	merged := newColStats(ncols)
 	var rowCount int64
 	for _, p := range parts {
-		if p.err != nil {
-			return 0, p.err
-		}
-		if p.stats == nil {
-			continue // unclaimed after an earlier partition stopped the queue
-		}
 		rowCount += p.count
 		for c := range merged {
 			merged[c].merge(&p.stats[c])
@@ -224,7 +193,7 @@ func analyzeTable(tx *reldb.Tx, table string, opts Options) (int64, error) {
 
 // foldStatsPart folds one partition's rows into fresh per-column partials,
 // checking for cancellation between row batches.
-func foldStatsPart(rows []reldb.Row, ncols int, stmt *StmtEntry, stats *[]colStats, count *int64) error {
+func foldStatsPart(rows []reldb.Row, ncols int, stmt *StmtEntry) ([]colStats, int64, error) {
 	cs := newColStats(ncols)
 	var n int64
 	for _, row := range rows {
@@ -234,7 +203,7 @@ func foldStatsPart(rows []reldb.Row, ncols int, stmt *StmtEntry, stats *[]colSta
 		n++
 		if n%cancelCheckRows == 0 {
 			if err := stmt.Err(); err != nil {
-				return err
+				return nil, 0, err
 			}
 			if stmt != nil {
 				stmt.rowsScanned.Add(cancelCheckRows)
@@ -244,9 +213,7 @@ func foldStatsPart(rows []reldb.Row, ncols int, stmt *StmtEntry, stats *[]colSta
 			cs[c].observe(row[c])
 		}
 	}
-	*stats = cs
-	*count = n
-	return nil
+	return cs, n, nil
 }
 
 // schemaSig fingerprints a table's shape so staleness survives process

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"perfdmf/internal/reldb"
 	"perfdmf/internal/sqlparse"
@@ -419,15 +417,16 @@ type colScratch struct {
 	codeGroups []*chunkGroup // single dict group column: code+1 -> group
 }
 
-func newColScratch(groupCols, maxDict int) *colScratch {
+// newColScratch sizes the buffers for blocks of up to rows rows.
+func newColScratch(rows, groupCols, maxDict int) *colScratch {
 	return &colScratch{
-		pass:       make([]bool, aggChunkRows),
-		i64:        make([]int64, aggChunkRows),
-		f64:        make([]float64, aggChunkRows),
-		i32:        make([]int32, aggChunkRows),
-		strs:       make([]string, aggChunkRows),
+		pass:       make([]bool, rows),
+		i64:        make([]int64, rows),
+		f64:        make([]float64, rows),
+		i32:        make([]int32, rows),
+		strs:       make([]string, rows),
 		kv:         make([]reldb.Value, groupCols),
-		rowGroups:  make([]*chunkGroup, aggChunkRows),
+		rowGroups:  make([]*chunkGroup, rows),
 		codeGroups: make([]*chunkGroup, maxDict+1),
 	}
 }
@@ -446,66 +445,57 @@ type colAggSpec struct {
 }
 
 // tryColumnarAggregate attempts the vectorized aggregation path for a
-// no-join full-scan SELECT over table. It returns handled=false (and no
-// error) whenever the row path must run instead — including on resolution
-// errors, which the row path re-raises identically. On success the final
-// result rows and sort keys are stored on q (colDone) and the scan,
-// filter and aggregation are all complete.
-func (q *query) tryColumnarAggregate(table string) (bool, error) {
+// no-join full-scan SELECT over table. It leaves q.colDone false (and
+// returns no error) whenever the row path must run instead — including on
+// resolution errors and malformed aggregate calls, which the row path
+// re-raises identically. On success the final result rows and sort keys
+// are stored on q (colDone) and the scan, filter and aggregation are all
+// complete.
+func (q *query) tryColumnarAggregate(table string) error {
 	st := q.st
 	items, colNames, err := q.expandItems()
 	if err != nil {
-		return false, nil
+		return nil
 	}
 	orderExprs, err := q.resolveOrderBy(items)
 	if err != nil {
-		return false, nil
+		return nil
 	}
 	if !q.isAggregate(items, orderExprs) {
-		return false, nil
+		return nil
 	}
-	var aggNodes []*sqlparse.FuncCall
-	for _, item := range items {
-		aggNodes = append(aggNodes, collectAggs(item.Expr)...)
-	}
-	aggNodes = append(aggNodes, collectAggs(st.Having)...)
-	for _, e := range orderExprs {
-		aggNodes = append(aggNodes, collectAggs(e)...)
+	aggNodes, err := q.aggNodes(items, orderExprs)
+	if err != nil {
+		return nil
 	}
 	for _, node := range aggNodes {
 		if node.Distinct {
-			return false, nil
+			return nil
 		}
 		if node.Star {
-			if node.Name != "COUNT" {
-				return false, nil
-			}
 			continue
 		}
-		if len(node.Args) != 1 {
-			return false, nil
-		}
 		if _, ok := node.Args[0].(*sqlparse.ColRef); !ok {
-			return false, nil
+			return nil
 		}
 	}
 	if q.liveRows(table) < parallelMinRows {
-		return false, nil
+		return nil
 	}
 	tbl, err := q.tx.Table(table)
 	if err != nil {
-		return false, nil
+		return nil
 	}
 	schema := tbl.Schema()
 	groupCIs := make([]int, len(st.GroupBy))
 	for i, e := range st.GroupBy {
 		cr, ok := e.(*sqlparse.ColRef)
 		if !ok {
-			return false, nil
+			return nil
 		}
 		pos, err := q.cols.resolve(cr)
 		if err != nil || pos >= len(schema.Columns) {
-			return false, nil
+			return nil
 		}
 		groupCIs[i] = pos
 	}
@@ -517,14 +507,14 @@ func (q *query) tryColumnarAggregate(table string) (bool, error) {
 		}
 		pos, err := q.cols.resolve(node.Args[0].(*sqlparse.ColRef))
 		if err != nil || pos >= len(schema.Columns) {
-			return false, nil
+			return nil
 		}
 		aggCIs[i] = pos
 	}
 	prog, ok := q.compilePredicate(st.Where, schema)
 	if !ok {
 		mColumnarFallbacks.Inc()
-		return false, nil
+		return nil
 	}
 
 	// Segments: a fresh set if one exists; otherwise count an eligible read
@@ -545,7 +535,7 @@ func (q *query) tryColumnarAggregate(table string) (bool, error) {
 	}
 	if set == nil || !set.Covers(need...) {
 		mColumnarFallbacks.Inc()
-		return false, nil
+		return nil
 	}
 	for pi := range prog.preds {
 		prog.preds[pi].bind(set)
@@ -554,7 +544,7 @@ func (q *query) tryColumnarAggregate(table string) (bool, error) {
 	workers := q.opts.effectiveWorkers()
 	sel, err := q.columnarSelect(set, prog, workers)
 	if err != nil {
-		return false, err
+		return err
 	}
 	q.scanned += int64(set.Rows())
 	mColumnarScans.Inc()
@@ -562,30 +552,15 @@ func (q *query) tryColumnarAggregate(table string) (bool, error) {
 	if p := q.opts.Plan; p != nil && p.Select == st {
 		p.Columnar.Add(1)
 	}
-	if q.colPar < 1 {
-		q.colPar = 1
-	}
 
-	var out, keys [][]reldb.Value
-	if len(sel) < parallelMinRows {
-		// Few survivors: materialize them and run the direct aggregation
-		// path — exactly what the row path does below this size, including
-		// the zero-row global group.
-		rows := make([]reldb.Row, len(sel))
-		for i, r := range sel {
-			rows[i] = tbl.RowAt(set.Slot(int(r)))
-		}
-		out, keys, err = q.aggregate(rows, items, orderExprs)
-	} else {
-		out, keys, err = q.columnarFold(tbl, set, sel, groupCIs, aggCIs, aggNodes, items, orderExprs, workers)
-	}
+	out, keys, err := q.columnarFold(tbl, set, sel, groupCIs, aggCIs, aggNodes, items, orderExprs, workers)
 	if err != nil {
-		return false, err
+		return err
 	}
 	q.colDone = true
 	q.colItems, q.colNames = items, colNames
 	q.colOut, q.colKeys = out, keys
-	return true, nil
+	return nil
 }
 
 // columnarSelect evaluates the compiled predicate over the segment set and
@@ -604,89 +579,35 @@ func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers 
 		}
 		return sel, nil
 	}
-	nparts := workers * partsPerWorker
-	if nparts > total {
-		nparts = total
-	}
-	if nparts < 1 {
-		nparts = 1
-	}
+	nparts := max(1, min(workers*partsPerWorker, total))
 	type selPart struct {
 		lo, hi int
 		sel    []int32
-		err    error
 	}
 	parts := make([]*selPart, nparts)
 	for p := range parts {
 		parts[p] = &selPart{lo: p * total / nparts, hi: (p + 1) * total / nparts}
 	}
-	if workers > nparts {
-		workers = nparts
+	workers = min(workers, nparts)
+	if workers > 1 {
+		q.fanOut(workers)
 	}
 	stmt := q.opts.Stmt
-	runPart := func(p *selPart, sc *colScratch) {
-		var out []int32
-		for lo := p.lo; lo < p.hi; lo += aggChunkRows {
-			hi := lo + aggChunkRows
-			if hi > p.hi {
-				hi = p.hi
-			}
-			if p.err = stmt.Err(); p.err != nil {
-				return
-			}
-			out = prog.evalBlock(lo, hi, sc, out)
-		}
-		p.sel = out
-	}
-	if workers <= 1 {
-		sc := newColScratch(0, 0)
-		for _, p := range parts {
-			runPart(p, sc)
-			if p.err != nil {
-				return nil, p.err
-			}
-		}
-	} else {
-		if q.par < workers {
-			q.par = workers
-		}
-		if q.colPar < workers {
-			q.colPar = workers
-		}
-		if stmt != nil {
-			stmt.workers.Store(int32(workers))
-		}
-		var (
-			next atomic.Int64
-			stop atomic.Bool
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := newColScratch(0, 0)
-				for !stop.Load() {
-					i := int(next.Add(1)) - 1
-					if i >= len(parts) {
-						return
-					}
-					runPart(parts[i], sc)
-					if parts[i].err != nil {
-						stop.Store(true)
-						return
-					}
+	err := runParts(nparts, workers, stmt, func() func(int) error {
+		sc := newColScratch(min(aggChunkRows, total), 0, 0)
+		return func(i int) error {
+			p := parts[i]
+			for lo := p.lo; lo < p.hi; lo += aggChunkRows {
+				if err := stmt.Err(); err != nil {
+					return err
 				}
-			}()
-		}
-		wg.Wait()
-		// Partitions are claimed in increasing order, so the lowest-index
-		// error is the first in row order.
-		for _, p := range parts {
-			if p.err != nil {
-				return nil, p.err
+				p.sel = prog.evalBlock(lo, min(lo+aggChunkRows, p.hi), sc, p.sel)
 			}
+			return nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	n := 0
 	for _, p := range parts {
@@ -701,7 +622,8 @@ func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers 
 
 // columnarFold chunks the selection vector and folds each chunk with gather
 // kernels into the row path's chunkGroup/aggPartial state, then merges in
-// chunk order and finalizes — the exact pipeline aggregateChunked runs.
+// chunk order and finalizes — the exact pipeline the row path's aggregate
+// runs.
 func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groupCIs, aggCIs []int, aggNodes []*sqlparse.FuncCall, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr, workers int) ([][]reldb.Value, [][]reldb.Value, error) {
 	groups := make([]colGroupBy, len(groupCIs))
 	maxDict := 0
@@ -732,66 +654,19 @@ func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int3
 
 	nchunks := (len(sel) + aggChunkRows - 1) / aggChunkRows
 	chunks := make([]*aggChunk, nchunks)
-	if workers > nchunks {
-		workers = nchunks
+	workers = min(workers, nchunks)
+	if workers > 1 {
+		q.fanOut(workers)
 	}
-	chunkBounds := func(i int) (int, int) {
-		lo := i * aggChunkRows
-		hi := lo + aggChunkRows
-		if hi > len(sel) {
-			hi = len(sel)
+	err := runParts(nchunks, workers, q.opts.Stmt, func() func(int) error {
+		sc := newColScratch(min(aggChunkRows, len(sel)), len(groups), maxDict)
+		return func(i int) error {
+			lo, hi := chunkBounds(i, len(sel))
+			chunks[i] = q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, aggNodes, sc)
+			return nil
 		}
-		return lo, hi
-	}
-	stmt := q.opts.Stmt
-	if workers <= 1 {
-		sc := newColScratch(len(groups), maxDict)
-		for i := range chunks {
-			if err := stmt.Err(); err != nil {
-				chunks[i] = &aggChunk{err: err}
-				break
-			}
-			lo, hi := chunkBounds(i)
-			chunks[i] = q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, sc)
-		}
-	} else {
-		if q.par < workers {
-			q.par = workers
-		}
-		if q.colPar < workers {
-			q.colPar = workers
-		}
-		if stmt != nil {
-			stmt.workers.Store(int32(workers))
-		}
-		var (
-			next atomic.Int64
-			stop atomic.Bool
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := newColScratch(len(groups), maxDict)
-				for !stop.Load() {
-					i := int(next.Add(1)) - 1
-					if i >= nchunks {
-						return
-					}
-					if err := stmt.Err(); err != nil {
-						chunks[i] = &aggChunk{err: err}
-						stop.Store(true)
-						return
-					}
-					lo, hi := chunkBounds(i)
-					chunks[i] = q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := chunkError(chunks); err != nil {
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return q.finalizeGroups(mergeChunks(chunks), items, orderExprs, aggNodes)
@@ -804,16 +679,13 @@ func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int3
 // canonical keyOf over the materialized column values, and each group's
 // first row is the real stored row, so merged state is indistinguishable
 // from the row path's.
-func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groups []colGroupBy, aggs []colAggSpec, sc *colScratch) *aggChunk {
+func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groups []colGroupBy, aggs []colAggSpec, aggNodes []*sqlparse.FuncCall, sc *colScratch) *aggChunk {
 	n := len(sel)
 	ck := &aggChunk{groups: make(map[string]*chunkGroup)}
 	rowG := sc.rowGroups[:n]
 	kv := sc.kv[:len(groups)]
 	newGroup := func(pos int32) *chunkGroup {
-		g := &chunkGroup{key: keyOf(kv), first: tbl.RowAt(set.Slot(int(pos))), parts: make([]aggPartial, len(aggs))}
-		for i := range g.parts {
-			g.parts[i].allInt = true
-		}
+		g := &chunkGroup{key: keyOf(kv), first: tbl.RowAt(set.Slot(int(pos))), parts: newPartials(aggNodes)}
 		ck.groups[g.key] = g
 		ck.order = append(ck.order, g)
 		return g

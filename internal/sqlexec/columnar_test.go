@@ -96,6 +96,17 @@ var columnarCorpus = []string{
 	`SELECT event, COUNT(*) FROM ilp WHERE event LIKE 'ev1%' GROUP BY event ORDER BY event`,
 	`SELECT event, COUNT(*) FROM ilp WHERE calls * 2 > 1000 GROUP BY event ORDER BY event`,
 	`SELECT event, COUNT(*) FROM ilp WHERE excl > (SELECT AVG(excl) FROM ilp) GROUP BY event ORDER BY event`,
+	// DISTINCT aggregates over a DOUBLE column spanning several fold
+	// chunks (row path on both sides; pins that the fallback agrees)
+	`SELECT COUNT(DISTINCT excl), SUM(DISTINCT excl), AVG(DISTINCT excl) FROM ilp`,
+	`SELECT metric, SUM(DISTINCT excl), AVG(DISTINCT excl) FROM ilp GROUP BY metric ORDER BY metric`,
+	// global aggregate over a vectorized WHERE that keeps zero rows
+	`SELECT COUNT(*), SUM(excl), AVG(excl), MAX(event) FROM ilp WHERE excl > 1000000.0`,
+	// HAVING-only aggregates, kept and dropped
+	`SELECT COUNT(*) FROM ilp HAVING MAX(excl) > 1000.0`,
+	`SELECT SUM(calls) FROM ilp WHERE thread < 0 HAVING COUNT(*) > 0`,
+	// small-table GROUP BY (below the columnar threshold)
+	`SELECT grp, COUNT(*) FROM event_group GROUP BY grp ORDER BY grp`,
 }
 
 // TestColumnarRowEquivalence is the differential harness: forced row path

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -15,7 +16,7 @@ import (
 type Options struct {
 	// Workers caps the number of goroutines the executor may use for
 	// partitioned scans and partial aggregation. 0 (the zero value) means
-	// DefaultWorkers(); 1 executes serially.
+	// DefaultWorkers(); 1 runs every part inline on the calling goroutine.
 	Workers int
 	// Plan, when non-nil, is a reusable handle that memoizes the
 	// access-path decision across executions of the same statement (see
@@ -44,9 +45,9 @@ func (o Options) effectiveWorkers() int {
 	return o.Workers
 }
 
-// parallelMinRows is the serial-fallback threshold: below this many input
-// rows the goroutine fan-out costs more than it saves, so point queries
-// never pay it.
+// parallelMinRows is the fan-out threshold: below this many live rows a
+// scan runs inline on the calling goroutine, because the fan-out costs
+// more than it saves there, so point queries never pay it.
 const parallelMinRows = 4096
 
 // aggChunkRows is the fold-chunk size for partial aggregation. Chunk
@@ -66,103 +67,150 @@ func QueryOpts(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value, sp *obs.
 	return q.run()
 }
 
-// parallelScanFilter collects the base table's live rows — applying the
-// WHERE filter when present — using partitioned worker goroutines. Each
-// partition fills its own buffer; buffers are concatenated in partition
-// (slot) order, so the result is byte-identical to the serial scan+filter.
-// Workers are claimed off an atomic queue in increasing partition order and
-// always run their partition to completion, which guarantees both that
-// every goroutine is reaped before return and that the lowest-partition
-// error — the same error the serial path would hit first — is reported.
-func (q *query) parallelScanFilter(table string, where sqlparse.Expr, workers int) ([]reldb.Row, error) {
-	type part struct {
-		rows    []reldb.Row
-		kept    []reldb.Row
-		visited int64
-		err     error
+// runParts runs the parts 0..n-1 of a job on up to workers goroutines and
+// is the executor's one worker pool. Parts are claimed in increasing index
+// order and each claimed part runs to completion; the pool stops claiming
+// at the first error or kill, and every goroutine is reaped before return.
+// Because no part after a failing one can be claimed before it, the
+// lowest-index error — the first in input order — is the one reported,
+// whatever the worker count. worker is the per-worker init hook: it runs
+// once on each worker's goroutine and returns that worker's part function.
+// One worker runs inline on the calling goroutine.
+func runParts(n, workers int, stmt *StmtEntry, worker func() func(part int) error) error {
+	if n == 0 {
+		return nil
 	}
-	var parts []*part
-	q.tx.ScanPartitioned(table, workers*partsPerWorker, func(_, _ int, rows []reldb.Row) { //nolint:errcheck // table verified by bind
-		parts = append(parts, &part{rows: rows})
-	})
-	if len(parts) == 0 {
-		return nil, nil
+	if workers = min(workers, n); workers <= 1 {
+		run := worker()
+		for i := 0; i < n; i++ {
+			if err := stmt.Err(); err != nil {
+				return err
+			}
+			if err := run(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	mParallelScans.Inc()
-	mScanPartitions.Add(int64(len(parts)))
-	if q.par < workers {
-		q.par = workers
-	}
-	stmt := q.opts.Stmt
-	if stmt != nil {
-		stmt.workers.Store(int32(workers))
-	}
-
 	var (
 		next atomic.Int64
 		stop atomic.Bool
 		wg   sync.WaitGroup
 	)
+	errs := make([]error, n)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := &env{cols: q.cols, params: q.params, tx: q.tx, serial: true}
+			run := worker()
 			for !stop.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
+				if i >= n {
 					return
 				}
-				p := parts[i]
-				if err := stmt.Err(); err != nil {
-					p.err = err
+				err := stmt.Err()
+				if err == nil {
+					err = run(i)
+				}
+				if err != nil {
+					errs[i] = err
 					stop.Store(true)
 					return
-				}
-				for _, row := range p.rows {
-					if row == nil {
-						continue
-					}
-					p.visited++
-					if p.visited%cancelCheckRows == 0 {
-						if err := stmt.Err(); err != nil {
-							p.err = err
-							stop.Store(true)
-							return
-						}
-						if stmt != nil {
-							stmt.rowsScanned.Add(cancelCheckRows)
-						}
-					}
-					if where != nil {
-						ev.row = row
-						v, err := eval(where, ev)
-						if err != nil {
-							p.err = err
-							stop.Store(true)
-							return
-						}
-						if !truthy(v) {
-							continue
-						}
-					}
-					p.kept = append(p.kept, row)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// fanOut records that this execution runs workers goroutines at once: the
+// span's parallel(n) annotation and the statement's live worker count.
+func (q *query) fanOut(workers int) {
+	if q.par < workers {
+		q.par = workers
+	}
+	if stmt := q.opts.Stmt; stmt != nil {
+		stmt.workers.Store(int32(workers))
+	}
+}
+
+// scanFilter collects the base table's live rows in slot order, applying
+// where when it is non-nil. With workers>1 the slot array is split into
+// partitions that workers scan and filter concurrently into their own
+// buffers; buffers are concatenated in partition order, so the result is
+// byte-identical at every worker count. One worker scans the whole table
+// inline as a single partition.
+func (q *query) scanFilter(table string, where sqlparse.Expr, workers int) ([]reldb.Row, error) {
+	type part struct {
+		rows    []reldb.Row
+		kept    []reldb.Row
+		visited int64
+	}
+	nparts := 1
+	if workers > 1 {
+		nparts = workers * partsPerWorker
+	}
+	var parts []*part
+	q.tx.ScanPartitioned(table, nparts, func(_, _ int, rows []reldb.Row) { //nolint:errcheck // table verified by bind
+		parts = append(parts, &part{rows: rows})
+	})
+	if workers > len(parts) {
+		workers = len(parts)
+	}
+	if workers > 1 {
+		mParallelScans.Inc()
+		mScanPartitions.Add(int64(len(parts)))
+		q.fanOut(workers)
+	}
+	stmt := q.opts.Stmt
+	err := runParts(len(parts), workers, stmt, func() func(int) error {
+		ev := &env{cols: q.cols, params: q.params, tx: q.tx, serial: workers > 1}
+		return func(i int) error {
+			p := parts[i]
+			for _, row := range p.rows {
+				if row == nil {
+					continue
+				}
+				p.visited++
+				if p.visited%cancelCheckRows == 0 {
+					if err := stmt.Err(); err != nil {
+						return err
+					}
+					if stmt != nil {
+						stmt.rowsScanned.Add(cancelCheckRows)
+					}
+				}
+				if where != nil {
+					ev.row = row
+					v, err := eval(where, ev)
+					if err != nil {
+						return err
+					}
+					if !truthy(v) {
+						continue
+					}
+				}
+				p.kept = append(p.kept, row)
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
-		}
 		total += len(p.kept)
 		q.scanned += p.visited
+	}
+	if len(parts) == 1 {
+		return parts[0].kept, nil
 	}
 	out := make([]reldb.Row, 0, total)
 	for _, p := range parts {
@@ -172,16 +220,46 @@ func (q *query) parallelScanFilter(table string, where sqlparse.Expr, workers in
 }
 
 // aggPartial is the mergeable state of one aggregate over a subset of a
-// group's rows: everything COUNT/SUM/AVG/MIN/MAX/STDDEV need.
+// group's rows: everything COUNT/SUM/AVG/MIN/MAX/STDDEV need. A DISTINCT
+// aggregate collects its values in dist instead and folds them only in
+// finish. The DISTINCT state sits behind a pointer because the fold
+// kernels stride over partials row by row, and every byte added here
+// slows them.
 type aggPartial struct {
 	count   int64
 	sum     float64
 	sumSq   float64
 	min, mx reldb.Value
 	allInt  bool
+	dist    *distinctVals // non-nil only for DISTINCT aggregates
+}
+
+// distinctVals is a DISTINCT aggregate's distinct non-NULL values in
+// first-occurrence order, so finish computes bitwise one left fold over
+// them. keys[i] is vals[i]'s keyOf key, and seen holds every key.
+type distinctVals struct {
+	seen map[string]struct{}
+	vals []reldb.Value
+	keys []string
+}
+
+// newPartials returns fresh partial states for aggNodes, in order.
+func newPartials(aggNodes []*sqlparse.FuncCall) []aggPartial {
+	parts := make([]aggPartial, len(aggNodes))
+	for i, node := range aggNodes {
+		parts[i].allInt = true
+		if node.Distinct {
+			parts[i].dist = &distinctVals{seen: make(map[string]struct{})}
+		}
+	}
+	return parts
 }
 
 func (p *aggPartial) observe(v reldb.Value) {
+	if p.dist != nil {
+		p.dist.add(v, keyOf([]reldb.Value{v}))
+		return
+	}
 	p.count++
 	f := v.AsFloat()
 	p.sum += f
@@ -197,7 +275,23 @@ func (p *aggPartial) observe(v reldb.Value) {
 	}
 }
 
+func (d *distinctVals) add(v reldb.Value, k string) {
+	if _, dup := d.seen[k]; dup {
+		return
+	}
+	d.seen[k] = struct{}{}
+	d.vals = append(d.vals, v)
+	d.keys = append(d.keys, k)
+}
+
+// merge folds a later chunk's partial into p.
 func (p *aggPartial) merge(o *aggPartial) {
+	if p.dist != nil {
+		for i, k := range o.dist.keys {
+			p.dist.add(o.dist.vals[i], k)
+		}
+		return
+	}
 	p.count += o.count
 	p.sum += o.sum
 	p.sumSq += o.sumSq
@@ -210,9 +304,15 @@ func (p *aggPartial) merge(o *aggPartial) {
 	}
 }
 
-// finish turns the merged state into the aggregate's value, mirroring
-// computeAgg's result rules exactly.
+// finish turns the merged state into the aggregate's value.
 func (p *aggPartial) finish(name string) reldb.Value {
+	if p.dist != nil {
+		f := aggPartial{allInt: true}
+		for _, v := range p.dist.vals {
+			f.observe(v)
+		}
+		return f.finish(name)
+	}
 	switch name {
 	case "COUNT":
 		return reldb.Int(p.count)
@@ -234,13 +334,14 @@ func (p *aggPartial) finish(name string) reldb.Value {
 	case "MAX":
 		return p.mx
 	case "STDDEV":
+		// Population standard deviation, matching the common DBMS default.
 		if p.count == 0 {
 			return reldb.Null
 		}
 		n := float64(p.count)
 		variance := p.sumSq/n - (p.sum/n)*(p.sum/n)
 		if variance < 0 {
-			variance = 0
+			variance = 0 // guard against rounding
 		}
 		return reldb.Float(math.Sqrt(variance))
 	}
@@ -258,48 +359,43 @@ type chunkGroup struct {
 type aggChunk struct {
 	groups map[string]*chunkGroup
 	order  []*chunkGroup // discovery order within the chunk
-	err    error
 }
 
-// canChunkAgg reports whether the chunked partial-aggregation path applies:
-// enough rows to amortize it, and only aggregate shapes whose state merges
-// (DISTINCT aggregates need the whole group's value set in one place, and
-// malformed calls are left to computeAgg so error messages stay put).
-func (q *query) canChunkAgg(rows []reldb.Row, aggNodes []*sqlparse.FuncCall) bool {
-	if len(rows) < parallelMinRows {
-		return false
+// aggNodes returns the aggregate calls referenced anywhere in the output,
+// HAVING or ORDER BY, rejecting malformed calls before any row is read.
+func (q *query) aggNodes(items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) ([]*sqlparse.FuncCall, error) {
+	var nodes []*sqlparse.FuncCall
+	for _, item := range items {
+		nodes = append(nodes, collectAggs(item.Expr)...)
 	}
-	for _, node := range aggNodes {
-		if node.Distinct {
-			return false
+	nodes = append(nodes, collectAggs(q.st.Having)...)
+	for _, e := range orderExprs {
+		nodes = append(nodes, collectAggs(e)...)
+	}
+	for _, node := range nodes {
+		if node.Star && node.Name != "COUNT" {
+			return nil, fmt.Errorf("sqlexec: %s(*) is not valid", node.Name)
 		}
-		if node.Star {
-			if node.Name != "COUNT" {
-				return false
-			}
-			continue
-		}
-		if len(node.Args) != 1 {
-			return false
+		if !node.Star && len(node.Args) != 1 {
+			return nil, fmt.Errorf("sqlexec: %s expects one argument", node.Name)
 		}
 	}
-	return true
+	return nodes, nil
 }
 
 // foldChunk folds one chunk of input rows into per-group partial states.
-func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall) *aggChunk {
+func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall, ev *env) (*aggChunk, error) {
 	st := q.st
 	stmt := q.opts.Stmt
 	ck := &aggChunk{groups: make(map[string]*chunkGroup)}
-	ev := &env{cols: q.cols, params: q.params, tx: q.tx, serial: true}
 	kv := make([]reldb.Value, len(st.GroupBy))
 	for n, row := range rows {
 		// Poll cancellation inside the fold too: once every chunk has been
-		// claimed, the claim-time check in aggregateChunked can no longer
-		// observe a kill, so in-flight folds must notice it themselves.
+		// claimed, the pool's claim-time check can no longer observe a
+		// kill, so in-flight folds must notice it themselves.
 		if n%cancelCheckRows == cancelCheckRows-1 {
-			if ck.err = stmt.Err(); ck.err != nil {
-				return ck
+			if err := stmt.Err(); err != nil {
+				return nil, err
 			}
 		}
 		ev.row = row
@@ -308,8 +404,7 @@ func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall) *aggC
 			for i, e := range st.GroupBy {
 				v, err := eval(e, ev)
 				if err != nil {
-					ck.err = err
-					return ck
+					return nil, err
 				}
 				kv[i] = v
 			}
@@ -317,10 +412,7 @@ func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall) *aggC
 		}
 		g := ck.groups[key]
 		if g == nil {
-			g = &chunkGroup{key: key, first: row, parts: make([]aggPartial, len(aggNodes))}
-			for i := range g.parts {
-				g.parts[i].allInt = true
-			}
+			g = &chunkGroup{key: key, first: row, parts: newPartials(aggNodes)}
 			ck.groups[key] = g
 			ck.order = append(ck.order, g)
 		}
@@ -331,8 +423,7 @@ func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall) *aggC
 			}
 			v, err := eval(node.Args[0], ev)
 			if err != nil {
-				ck.err = err
-				return ck
+				return nil, err
 			}
 			if v.IsNull() {
 				continue
@@ -340,101 +431,45 @@ func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall) *aggC
 			g.parts[i].observe(v)
 		}
 	}
-	return ck
+	return ck, nil
 }
 
-// aggregateChunked is the parallel aggregation path: the input is split
-// into fixed-size chunks, chunks are folded (concurrently when workers>1)
-// into per-group partial states, and partials are merged single-threaded in
-// chunk order. HAVING, output items and ORDER BY keys are then evaluated
-// per merged group exactly as on the serial path.
-func (q *query) aggregateChunked(rows []reldb.Row, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr, aggNodes []*sqlparse.FuncCall) ([][]reldb.Value, [][]reldb.Value, error) {
+// aggregate groups rows and evaluates the aggregate items per group. The
+// input is split into fixed-size chunks, chunks are folded (concurrently
+// when there are several and workers>1) into per-group partial states, and
+// partials are merged single-threaded in chunk order. HAVING, output items
+// and ORDER BY keys are then evaluated per merged group.
+func (q *query) aggregate(rows []reldb.Row, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) ([][]reldb.Value, [][]reldb.Value, error) {
+	aggNodes, err := q.aggNodes(items, orderExprs)
+	if err != nil {
+		return nil, nil, err
+	}
 	nchunks := (len(rows) + aggChunkRows - 1) / aggChunkRows
 	chunks := make([]*aggChunk, nchunks)
-	workers := q.opts.effectiveWorkers()
-	if workers > nchunks {
-		workers = nchunks
-	}
-
-	chunkBounds := func(i int) (int, int) {
-		lo := i * aggChunkRows
-		hi := lo + aggChunkRows
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		return lo, hi
-	}
-
-	stmt := q.opts.Stmt
-	if workers <= 1 {
-		for i := range chunks {
-			if err := stmt.Err(); err != nil {
-				chunks[i] = &aggChunk{err: err}
-				break
-			}
-			lo, hi := chunkBounds(i)
-			chunks[i] = q.foldChunk(rows[lo:hi], aggNodes)
-			if chunks[i].err != nil {
-				break
-			}
-		}
-	} else {
+	workers := min(q.opts.effectiveWorkers(), nchunks)
+	if workers > 1 {
 		mParallelAggs.Inc()
-		if q.par < workers {
-			q.par = workers
-		}
-		if stmt != nil {
-			stmt.workers.Store(int32(workers))
-		}
-		var (
-			next atomic.Int64
-			stop atomic.Bool
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					i := int(next.Add(1)) - 1
-					if i >= nchunks {
-						return
-					}
-					if err := stmt.Err(); err != nil {
-						chunks[i] = &aggChunk{err: err}
-						stop.Store(true)
-						return
-					}
-					lo, hi := chunkBounds(i)
-					chunks[i] = q.foldChunk(rows[lo:hi], aggNodes)
-					if chunks[i].err != nil {
-						stop.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		q.fanOut(workers)
 	}
-	if err := chunkError(chunks); err != nil {
+	err = runParts(nchunks, workers, q.opts.Stmt, func() func(int) error {
+		ev := &env{cols: q.cols, params: q.params, tx: q.tx, serial: workers > 1}
+		return func(i int) error {
+			lo, hi := chunkBounds(i, len(rows))
+			var err error
+			chunks[i], err = q.foldChunk(rows[lo:hi], aggNodes, ev)
+			return err
+		}
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return q.finalizeGroups(mergeChunks(chunks), items, orderExprs, aggNodes)
 }
 
-// chunkError returns the lowest-index chunk error. Chunks are claimed in
-// increasing index order and always run to completion, so this is the first
-// error in input-row order — the same one chunked serial execution reports.
-func chunkError(chunks []*aggChunk) error {
-	for _, ck := range chunks {
-		if ck == nil {
-			continue // unclaimed after an earlier chunk stopped the queue
-		}
-		if ck.err != nil {
-			return ck.err
-		}
-	}
-	return nil
+// chunkBounds returns chunk i's [lo,hi) range over an input of n rows.
+func chunkBounds(i, n int) (int, int) {
+	lo := i * aggChunkRows
+	return lo, min(lo+aggChunkRows, n)
 }
 
 // mergeChunks merges per-chunk group partials in chunk order: group
@@ -461,9 +496,13 @@ func mergeChunks(chunks []*aggChunk) []*chunkGroup {
 
 // finalizeGroups evaluates HAVING, the output items and the ORDER BY keys
 // per merged group, with each group's first input row as the non-aggregate
-// environment — exactly as the serial path does.
+// environment. Without GROUP BY there is always exactly one group: over
+// zero input rows it is the global group with an all-NULL row.
 func (q *query) finalizeGroups(order []*chunkGroup, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr, aggNodes []*sqlparse.FuncCall) ([][]reldb.Value, [][]reldb.Value, error) {
 	st := q.st
+	if len(st.GroupBy) == 0 && len(order) == 0 {
+		order = []*chunkGroup{{first: make(reldb.Row, q.cols.width), parts: newPartials(aggNodes)}}
+	}
 	var out [][]reldb.Value
 	var keys [][]reldb.Value
 	for _, g := range order {

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -157,6 +158,17 @@ var parallelCorpus = []string{
 	`SELECT i.event, g.grp, i.excl FROM ilp i JOIN event_group g ON i.event = g.event WHERE i.excl > 13000.0 ORDER BY i.id`,
 	`SELECT g.grp, COUNT(*), SUM(i.excl) FROM ilp i JOIN event_group g ON i.event = g.event GROUP BY g.grp ORDER BY g.grp`,
 	`SELECT g.grp, i.id FROM ilp i LEFT JOIN event_group g ON i.event = g.event WHERE i.thread = 3 ORDER BY i.id`,
+	// DISTINCT aggregates over a DOUBLE column spanning several fold
+	// chunks, with duplicates on both sides of the chunk boundaries
+	`SELECT COUNT(DISTINCT excl), SUM(DISTINCT excl), AVG(DISTINCT excl), MIN(DISTINCT excl), MAX(DISTINCT excl), STDDEV(DISTINCT excl) FROM ilp`,
+	`SELECT metric, COUNT(DISTINCT excl), SUM(DISTINCT excl), AVG(DISTINCT excl) FROM ilp GROUP BY metric ORDER BY metric`,
+	// global aggregate over a WHERE that keeps zero rows
+	`SELECT COUNT(*), SUM(excl), AVG(excl), MIN(event), COUNT(DISTINCT excl) FROM ilp WHERE thread < 0`,
+	// HAVING-only aggregates, kept and dropped
+	`SELECT COUNT(*) FROM ilp HAVING MAX(excl) > 1000.0`,
+	`SELECT SUM(calls) FROM ilp WHERE thread < 0 HAVING COUNT(*) > 0`,
+	// small-table GROUP BY
+	`SELECT grp, COUNT(*), MIN(event), MAX(event) FROM event_group GROUP BY grp ORDER BY grp`,
 }
 
 func TestParallelSerialEquivalence(t *testing.T) {
@@ -284,5 +296,97 @@ func TestParallelExplainAnalyze(t *testing.T) {
 		return fmt.Errorf("no parallel(4) annotation in plan: %v", rs.Rows)
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistinctAggregateBits pins SUM(DISTINCT)/AVG(DISTINCT) to the bits of
+// one left fold over the column's distinct non-NULL values in first-
+// occurrence order, computed here straight from the table. The fixture's
+// excl column spans two fold chunks, with values that first occur in the
+// first chunk and recur in the second, so the chunk merge is exercised.
+func TestDistinctAggregateBits(t *testing.T) {
+	db := parallelFixture(t)
+	var vals []float64
+	straddles := false
+	if err := db.Read(func(tx *reldb.Tx) error {
+		firstAt := make(map[uint64]int)
+		i := 0
+		err := tx.Scan("ilp", func(_ int, row reldb.Row) bool {
+			defer func() { i++ }()
+			v := row[4]
+			if v.IsNull() {
+				return true
+			}
+			bits := math.Float64bits(v.F)
+			if at, seen := firstAt[bits]; seen {
+				straddles = straddles || (at < aggChunkRows && i >= aggChunkRows)
+				return true
+			}
+			firstAt[bits] = i
+			vals = append(vals, v.F)
+			return true
+		})
+		if i <= aggChunkRows {
+			t.Fatalf("fixture has %d rows, want more than one fold chunk (%d)", i, aggChunkRows)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !straddles {
+		t.Fatal("no excl value recurs across the first chunk boundary; the merge goes untested")
+	}
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	avg := sum / float64(len(vals))
+
+	src := `SELECT COUNT(DISTINCT excl), SUM(DISTINCT excl), AVG(DISTINCT excl) FROM ilp`
+	for _, o := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, NoColumnar: true}} {
+		rs, err := queryPath(db, src, o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		got := rs.Rows[0]
+		if got[0].I != int64(len(vals)) {
+			t.Errorf("%+v: COUNT(DISTINCT) = %d, want %d", o, got[0].I, len(vals))
+		}
+		if math.Float64bits(got[1].F) != math.Float64bits(sum) {
+			t.Errorf("%+v: SUM(DISTINCT) = %v, want %v bit for bit", o, got[1].F, sum)
+		}
+		if math.Float64bits(got[2].F) != math.Float64bits(avg) {
+			t.Errorf("%+v: AVG(DISTINCT) = %v, want %v bit for bit", o, got[2].F, avg)
+		}
+	}
+}
+
+// TestMalformedAggregateRejected: X(*) for X other than COUNT and an
+// aggregate with other than one argument fail with the same error whether
+// the table is empty, small or spans several fold chunks, at any worker
+// count, on either the row or the columnar path.
+func TestMalformedAggregateRejected(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`SELECT grp, SUM(*) FROM big GROUP BY grp`, "sqlexec: SUM(*) is not valid"},
+		{`SELECT grp, AVG(x, x) FROM big GROUP BY grp`, "sqlexec: AVG expects one argument"},
+		{`SELECT grp, COUNT() FROM big GROUP BY grp`, "sqlexec: COUNT expects one argument"},
+		{`SELECT SUM(*) FROM big`, "sqlexec: SUM(*) is not valid"},
+	}
+	for _, nrows := range []int{0, 10, 5000} {
+		db := cancelFixture(t, nrows)
+		if nrows >= parallelMinRows {
+			compact(t, db, `COMPACT big`)
+		}
+		for _, c := range cases {
+			for _, o := range []Options{
+				{Workers: 1}, {Workers: 4},
+				{Workers: 1, NoColumnar: true}, {Workers: 4, NoColumnar: true},
+			} {
+				_, err := queryPath(db, c.src, o)
+				if err == nil || err.Error() != c.want {
+					t.Errorf("rows=%d %+v %s: err=%v, want %q", nrows, o, c.src, err, c.want)
+				}
+			}
+		}
 	}
 }

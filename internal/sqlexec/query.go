@@ -35,14 +35,13 @@ type query struct {
 	opts    Options
 	scanned int64    // rows fetched from storage (base + join inputs)
 	polled  int64    // row-loop iterations since the last cancellation check
-	par     int      // widest worker fan-out this execution used (0 = serial)
+	par     int      // widest worker fan-out this execution used (0 = inline)
 	joins   []string // strategy each join took, for the span's PlanSummary
 
 	// Columnar execution state (see columnar.go). When tryColumnarAggregate
 	// handles the query, scan, filter and aggregation are already done and
 	// the materialize section reuses the stashed results.
 	colDone  bool
-	colPar   int // workers the columnar path used (0 = row path)
 	colOut   [][]reldb.Value
 	colKeys  [][]reldb.Value
 	colItems []sqlparse.SelectItem
@@ -133,7 +132,7 @@ func (q *query) run() (*ResultSet, error) {
 		return nil, err
 	}
 	var rows []reldb.Row
-	whereDone := false // WHERE already folded into the parallel scan
+	whereDone := false // WHERE already folded into the scan
 	if st.From.Sub != nil || virtualRef(st.From) {
 		if timed {
 			if st.From.Sub != nil {
@@ -175,42 +174,29 @@ func (q *query) run() (*ResultSet, error) {
 		}
 		stmt.SetPhase(PhaseExecute)
 		if scanned && len(st.Joins) == 0 && !q.opts.NoColumnar {
-			handled, cerr := q.tryColumnarAggregate(st.From.Table)
-			if cerr != nil {
-				return nil, cerr
-			}
-			if handled {
-				whereDone = true
+			if err := q.tryColumnarAggregate(st.From.Table); err != nil {
+				return nil, err
 			}
 		}
 		switch {
 		case q.colDone:
 			// Vectorized path already scanned, filtered and aggregated.
-		case scanned && len(st.Joins) == 0 && q.opts.effectiveWorkers() > 1 && q.liveRows(st.From.Table) >= parallelMinRows:
-			// Partitioned parallel scan with the WHERE filter folded in.
-			rows, err = q.parallelScanFilter(st.From.Table, st.Where, q.opts.effectiveWorkers())
+			whereDone = true
+		case scanned:
+			// Fused scan+filter. Workers fan out only over a large base
+			// table without joins; with joins WHERE runs after them.
+			workers := 1
+			var where sqlparse.Expr
+			if len(st.Joins) == 0 {
+				where, whereDone = st.Where, true
+				if q.liveRows(st.From.Table) >= parallelMinRows {
+					workers = q.opts.effectiveWorkers()
+				}
+			}
+			rows, err = q.scanFilter(st.From.Table, where, workers)
 			if err != nil {
 				return nil, err
 			}
-			whereDone = true
-		case scanned:
-			var scanErr error
-			q.tx.Scan(st.From.Table, func(_ int, row reldb.Row) bool { //nolint:errcheck // table verified by bind
-				rows = append(rows, row)
-				if len(rows)%cancelCheckRows == 0 {
-					if scanErr = stmt.Err(); scanErr != nil {
-						return false
-					}
-					if stmt != nil {
-						stmt.rowsScanned.Add(cancelCheckRows)
-					}
-				}
-				return true
-			})
-			if scanErr != nil {
-				return nil, scanErr
-			}
-			q.scanned += int64(len(rows))
 		default:
 			for _, slot := range slots {
 				if err := q.pollEvery(); err != nil {
@@ -312,7 +298,7 @@ func (q *query) run() (*ResultSet, error) {
 	}
 	if timed {
 		if q.colDone {
-			q.sp.PlanSummary += fmt.Sprintf(" columnar(%d)", q.colPar)
+			q.sp.PlanSummary += fmt.Sprintf(" columnar(%d)", max(q.par, 1))
 		} else if q.par > 1 {
 			q.sp.PlanSummary += fmt.Sprintf(" parallel(%d)", q.par)
 		}
@@ -748,206 +734,6 @@ func (q *query) project(rows []reldb.Row, items []sqlparse.SelectItem, orderExpr
 		}
 	}
 	return out, keys, nil
-}
-
-// aggregate groups rows and evaluates aggregate items per group. Large
-// inputs take the chunked partial-aggregation path (see aggregateChunked);
-// small inputs and DISTINCT aggregates use the direct group-then-fold path.
-func (q *query) aggregate(rows []reldb.Row, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) ([][]reldb.Value, [][]reldb.Value, error) {
-	st := q.st
-
-	// Aggregate nodes referenced anywhere in the output, HAVING or ORDER BY.
-	var aggNodes []*sqlparse.FuncCall
-	for _, item := range items {
-		aggNodes = append(aggNodes, collectAggs(item.Expr)...)
-	}
-	aggNodes = append(aggNodes, collectAggs(st.Having)...)
-	for _, e := range orderExprs {
-		aggNodes = append(aggNodes, collectAggs(e)...)
-	}
-
-	if q.canChunkAgg(rows, aggNodes) {
-		return q.aggregateChunked(rows, items, orderExprs, aggNodes)
-	}
-
-	ev := &env{cols: q.cols, params: q.params, tx: q.tx}
-
-	type group struct {
-		rows []reldb.Row
-	}
-	groups := make(map[string]*group)
-	var order []string
-	if len(st.GroupBy) == 0 {
-		// A single global group, present even with zero input rows.
-		groups[""] = &group{}
-		order = append(order, "")
-	}
-	for _, row := range rows {
-		if err := q.pollEvery(); err != nil {
-			return nil, nil, err
-		}
-		key := ""
-		if len(st.GroupBy) > 0 {
-			ev.row = row
-			kv := make([]reldb.Value, len(st.GroupBy))
-			for i, e := range st.GroupBy {
-				v, err := eval(e, ev)
-				if err != nil {
-					return nil, nil, err
-				}
-				kv[i] = v
-			}
-			key = keyOf(kv)
-		}
-		g := groups[key]
-		if g == nil {
-			g = &group{}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.rows = append(g.rows, row)
-	}
-
-	var out [][]reldb.Value
-	var keys [][]reldb.Value
-	for _, gk := range order {
-		g := groups[gk]
-		aggVals := make(map[*sqlparse.FuncCall]reldb.Value, len(aggNodes))
-		for _, node := range aggNodes {
-			v, err := q.computeAgg(node, g.rows)
-			if err != nil {
-				return nil, nil, err
-			}
-			aggVals[node] = v
-		}
-		gev := &env{cols: q.cols, params: q.params, agg: aggVals, tx: q.tx}
-		if len(g.rows) > 0 {
-			gev.row = g.rows[0]
-		} else {
-			gev.row = make(reldb.Row, q.cols.width)
-		}
-		if st.Having != nil {
-			v, err := eval(st.Having, gev)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		rec := make([]reldb.Value, len(items))
-		for i, item := range items {
-			v, err := eval(item.Expr, gev)
-			if err != nil {
-				return nil, nil, err
-			}
-			rec[i] = v
-		}
-		out = append(out, rec)
-		if len(orderExprs) > 0 {
-			k := make([]reldb.Value, len(orderExprs))
-			for i, e := range orderExprs {
-				v, err := eval(e, gev)
-				if err != nil {
-					return nil, nil, err
-				}
-				k[i] = v
-			}
-			keys = append(keys, k)
-		}
-	}
-	return out, keys, nil
-}
-
-// computeAgg evaluates one aggregate over a group's rows.
-func (q *query) computeAgg(node *sqlparse.FuncCall, rows []reldb.Row) (reldb.Value, error) {
-	ev := &env{cols: q.cols, params: q.params, tx: q.tx}
-	if node.Star {
-		if node.Name != "COUNT" {
-			return reldb.Null, fmt.Errorf("sqlexec: %s(*) is not valid", node.Name)
-		}
-		return reldb.Int(int64(len(rows))), nil
-	}
-	if len(node.Args) != 1 {
-		return reldb.Null, fmt.Errorf("sqlexec: %s expects one argument", node.Name)
-	}
-	var (
-		count   int64
-		sum     float64
-		sumSq   float64
-		min, mx reldb.Value
-		seen    map[string]bool
-		allInt  = true
-	)
-	if node.Distinct {
-		seen = make(map[string]bool)
-	}
-	for _, row := range rows {
-		if err := q.pollEvery(); err != nil {
-			return reldb.Null, err
-		}
-		ev.row = row
-		v, err := eval(node.Args[0], ev)
-		if err != nil {
-			return reldb.Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if node.Distinct {
-			k := keyOf([]reldb.Value{v})
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		count++
-		f := v.AsFloat()
-		sum += f
-		sumSq += f * f
-		if v.T != reldb.TInt {
-			allInt = false
-		}
-		if min.IsNull() || reldb.Compare(v, min) < 0 {
-			min = v
-		}
-		if mx.IsNull() || reldb.Compare(v, mx) > 0 {
-			mx = v
-		}
-	}
-	switch node.Name {
-	case "COUNT":
-		return reldb.Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return reldb.Null, nil
-		}
-		if allInt {
-			return reldb.Int(int64(sum)), nil
-		}
-		return reldb.Float(sum), nil
-	case "AVG":
-		if count == 0 {
-			return reldb.Null, nil
-		}
-		return reldb.Float(sum / float64(count)), nil
-	case "MIN":
-		return min, nil
-	case "MAX":
-		return mx, nil
-	case "STDDEV":
-		// Population standard deviation, matching the common DBMS default.
-		if count == 0 {
-			return reldb.Null, nil
-		}
-		n := float64(count)
-		variance := sumSq/n - (sum/n)*(sum/n)
-		if variance < 0 {
-			variance = 0 // guard against rounding
-		}
-		return reldb.Float(math.Sqrt(variance)), nil
-	}
-	return reldb.Null, fmt.Errorf("sqlexec: unknown aggregate %s", node.Name)
 }
 
 func distinct(rows, keys [][]reldb.Value) ([][]reldb.Value, [][]reldb.Value) {
