@@ -74,12 +74,15 @@ race:
 # columnar segment encoders (raw/FOR/RLE ints, dict/raw strings) from
 # the committed corpus in internal/reldb/testdata/fuzz;
 # FuzzJoinIndexDifferential checks that index nested-loop joins return
-# bitwise the rows hash joins return over fuzzed tables.
+# bitwise the rows hash joins return over fuzzed tables; FuzzOpenDSN
+# opens arbitrary mem: DSNs, which must open or fail cleanly and round-trip
+# through their canonical spelling.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRoundTrip$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinIndexDifferential$$' -fuzztime 10s ./internal/sqlexec
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenDSN$$' -fuzztime 10s ./internal/godbc
 
 # One iteration per sub-benchmark: proves the guard still compiles and
 # runs. Real numbers come from `make bench`.

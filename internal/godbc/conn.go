@@ -16,23 +16,19 @@ import (
 // is not safe for concurrent use by multiple goroutines (like a JDBC
 // Connection); open one connection per goroutine — they share the engine.
 type conn struct {
-	db       *reldb.DB
-	id       int64     // registry id, assigned at open (see admin.go)
-	tx       *reldb.Tx // open explicit transaction, or nil
-	closed   bool
-	readonly bool // reject all mutating statements
-	quiet    bool // never produce spans (the telemetry store's own
-	// connection, so its INSERTs cannot trace themselves back into the sink)
+	connOptions // the parsed DSN: readonly, obs, workers, columnar, ...
+	db          *reldb.DB
+	id          int64     // registry id, assigned at open (see admin.go)
+	tx          *reldb.Tx // open explicit transaction, or nil
+	closed      bool
+	quiet       bool // never count or trace statements (the telemetry
+	// store's own connection, so its INSERTs cannot trace themselves back
+	// into the sink)
 	relaxed bool // commit with relaxed durability (batched WAL fsync);
 	// only the telemetry writer sets this — span batches must not pay, or
 	// charge the workload, one fsync per group commit
 	release func() error // driver-specific close hook
-	obs     obsOpts      // per-connection trace/slow-query overrides
-	workers int          // ?workers=N parallelism (-1 unset, 0 serial)
-	// columnar enables the vectorized aggregation path (?columnar, default
-	// on). Off forces row-at-a-time execution for comparison runs.
-	columnar bool
-	cache    *stmtCache // per-connection statement/plan cache
+	cache   *stmtCache   // per-connection statement/plan cache
 
 	// parentSpan is the framework span statement spans are parented under,
 	// set via BindSpanContext. Connections are single-goroutine, so the
@@ -40,9 +36,9 @@ type conn struct {
 	parentSpan *obs.Span
 }
 
-func newConn(db *reldb.DB, release func() error) *conn {
+func newConn(db *reldb.DB, o connOptions, release func() error) *conn {
 	mConnsOpened.Inc()
-	c := &conn{db: db, release: release, workers: -1, columnar: true, cache: newStmtCache()}
+	c := &conn{connOptions: o, db: db, release: release, cache: newStmtCache()}
 	registerConn(c)
 	return c
 }
@@ -65,7 +61,55 @@ func (c *conn) check() error {
 	return nil
 }
 
+// read runs fn in the connection's open transaction when there is one,
+// otherwise in a fresh read transaction.
+func (c *conn) read(fn func(tx *reldb.Tx) error) error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	if c.tx != nil {
+		return fn(c.tx)
+	}
+	return c.db.Read(fn)
+}
+
+// write runs fn in the connection's open transaction when there is one,
+// otherwise in a fresh write transaction committed when fn succeeds.
+func (c *conn) write(fn func(tx *reldb.Tx) error) error {
+	if c.tx != nil {
+		return fn(c.tx)
+	}
+	return c.db.Write(fn)
+}
+
+// options is the executor configuration for one statement: the DSN's
+// workers and columnar settings, the statement's reusable plan and its
+// live registry entry.
+func (c *conn) options(plan *sqlexec.Plan, entry *sqlexec.StmtEntry) sqlexec.Options {
+	return sqlexec.Options{Workers: c.workers, Plan: plan, Stmt: entry, NoColumnar: !c.columnar}
+}
+
+// parsed returns e, the prepared parse of src, or when e is nil the cached
+// parse of src, timing the parse into sp.
+func (c *conn) parsed(src string, e *cacheEntry, sp *obs.Span) (*cacheEntry, error) {
+	if e != nil {
+		return e, nil
+	}
+	e, err := c.parseCached(src)
+	if sp != nil {
+		sp.Parse = time.Since(sp.Start)
+	}
+	return e, err
+}
+
 func (c *conn) Exec(query string, args ...any) (Result, error) {
+	return c.exec(query, nil, args)
+}
+
+// exec is the one DDL/DML path, behind both Conn.Exec and Stmt.Exec. src
+// is the statement text and e its prepared parse, or nil when src is still
+// to be parsed.
+func (c *conn) exec(src string, e *cacheEntry, args []any) (Result, error) {
 	if err := c.check(); err != nil {
 		return Result{}, err
 	}
@@ -76,76 +120,60 @@ func (c *conn) Exec(query string, args ...any) (Result, error) {
 	if !c.quiet {
 		mExecTotal.Inc()
 	}
-	entry := sqlexec.Statements.Begin(query, "exec")
+	entry := sqlexec.Statements.Begin(src, "exec")
 	defer entry.Finish()
-	sp := c.startSpan("exec", query, len(args))
-	e, err := c.parseCached(query)
-	if err != nil {
-		if !c.quiet {
-			mStmtErrors.Inc()
-		}
-		c.finishSpan(sp, err)
-		return Result{}, err
+	sp := c.startSpan("exec", src, len(args))
+	e, err := c.parsed(src, e, sp)
+	var res sqlexec.Result
+	if err == nil {
+		res, err = c.execParsed(e.st, toValues(args), entry)
 	}
+	c.finish(sp, err)
 	if sp != nil {
-		sp.Parse = time.Since(sp.Start)
-	}
-	res, err := c.execParsed(e.st, toValues(args), entry)
-	if err != nil && !c.quiet {
-		mStmtErrors.Inc()
-	}
-	c.finishSpan(sp, err)
-	if sp != nil && !c.quiet {
 		mExecNS.Observe(int64(sp.Total))
 	}
-	return res, err
-}
-
-func (c *conn) execParsed(st sqlparse.Statement, params []reldb.Value, entry *sqlexec.StmtEntry) (Result, error) {
-	switch s := st.(type) {
-	case *sqlparse.Begin:
-		return Result{}, c.Begin()
-	case *sqlparse.Commit:
-		return Result{}, c.Commit()
-	case *sqlparse.Rollback:
-		return Result{}, c.Rollback()
-	case *sqlparse.Kill:
-		// KILL mutates no data, so it works on read-only connections and
-		// needs no transaction.
-		entry.SetPhase(sqlexec.PhaseExecute)
-		res, err := sqlexec.ExecOpts(nil, s, params, sqlexec.Options{})
-		if err != nil {
-			return Result{}, err
-		}
-		return Result(res), nil
-	case *sqlparse.Select:
-		return Result{}, fmt.Errorf("godbc: use Query for SELECT")
-	}
-	if c.readonly {
-		return Result{}, fmt.Errorf("godbc: connection is read-only")
-	}
-	entry.SetPhase(sqlexec.PhaseExecute)
-	opts := c.queryOptions(nil, entry)
-	if c.tx != nil {
-		res, err := sqlexec.ExecOpts(c.tx, st, params, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result(res), nil
-	}
-	var res sqlexec.Result
-	err := c.db.Write(func(tx *reldb.Tx) error {
-		var err error
-		res, err = sqlexec.ExecOpts(tx, st, params, opts)
-		return err
-	})
 	if err != nil {
 		return Result{}, err
 	}
 	return Result(res), nil
 }
 
+func (c *conn) execParsed(st sqlparse.Statement, params []reldb.Value, entry *sqlexec.StmtEntry) (sqlexec.Result, error) {
+	switch s := st.(type) {
+	case *sqlparse.Begin:
+		return sqlexec.Result{}, c.Begin()
+	case *sqlparse.Commit:
+		return sqlexec.Result{}, c.Commit()
+	case *sqlparse.Rollback:
+		return sqlexec.Result{}, c.Rollback()
+	case *sqlparse.Kill:
+		// KILL mutates no data, so it works on read-only connections and
+		// needs no transaction.
+		entry.SetPhase(sqlexec.PhaseExecute)
+		return sqlexec.ExecOpts(nil, s, params, sqlexec.Options{})
+	case *sqlparse.Select, *sqlparse.Explain:
+		return sqlexec.Result{}, fmt.Errorf("godbc: use Query for SELECT")
+	}
+	if c.readonly {
+		return sqlexec.Result{}, fmt.Errorf("godbc: connection is read-only")
+	}
+	entry.SetPhase(sqlexec.PhaseExecute)
+	opts := c.options(nil, entry)
+	var res sqlexec.Result
+	err := c.write(func(tx *reldb.Tx) (err error) {
+		res, err = sqlexec.ExecOpts(tx, st, params, opts)
+		return err
+	})
+	return res, err
+}
+
 func (c *conn) Query(query string, args ...any) (Rows, error) {
+	return c.query(query, nil, args)
+}
+
+// query is the one read path, behind both Conn.Query and Stmt.Query, for
+// SELECT, EXPLAIN and EXPLAIN ANALYZE alike. src and e are as for exec.
+func (c *conn) query(src string, e *cacheEntry, args []any) (Rows, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
@@ -153,109 +181,50 @@ func (c *conn) Query(query string, args ...any) (Rows, error) {
 		mQueryTotal.Inc()
 	}
 	start := time.Now()
-	entry := sqlexec.Statements.Begin(query, "query")
+	entry := sqlexec.Statements.Begin(src, "query")
 	defer entry.Finish()
-	sp := c.startSpan("query", query, len(args))
-	e, err := c.parseCached(query)
-	if err != nil {
-		if !c.quiet {
-			mStmtErrors.Inc()
-		}
-		c.finishSpan(sp, err)
-		return nil, err
-	}
-	if sp != nil {
-		sp.Parse = time.Since(sp.Start)
-	}
-	var out Rows
-	switch st := e.st.(type) {
-	case *sqlparse.Select:
-		out, err = c.queryPlanned(st, e.plan, toValues(args), sp, entry)
-	case *sqlparse.Explain:
-		if st.Analyze {
-			out, err = c.explainAnalyzeParsed(st.Select, toValues(args))
-		} else {
-			out, err = c.explainParsed(st.Select, toValues(args))
-		}
-	default:
-		err = fmt.Errorf("godbc: Query needs a SELECT (or EXPLAIN SELECT) statement")
-	}
-	if err != nil && !c.quiet {
-		mStmtErrors.Inc()
+	sp := c.startSpan("query", src, len(args))
+	e, err := c.parsed(src, e, sp)
+	var rs *sqlexec.ResultSet
+	if err == nil {
+		rs, err = c.queryParsed(e, toValues(args), sp, entry)
 	}
 	if !c.quiet {
 		mQueryNS.Observe(int64(time.Since(start)))
 	}
-	c.finishSpan(sp, err)
-	return out, err
+	c.finish(sp, err)
+	if err != nil {
+		return nil, err
+	}
+	return newRows(rs), nil
 }
 
-func (c *conn) queryPlanned(sel *sqlparse.Select, plan *sqlexec.Plan, params []reldb.Value, sp *obs.Span, entry *sqlexec.StmtEntry) (Rows, error) {
-	opts := c.queryOptions(plan, entry)
+// queryParsed runs a SELECT, or for EXPLAIN describes its plan and for
+// EXPLAIN ANALYZE also executes it, under the statement's registry entry so
+// that each can be watched and killed.
+func (c *conn) queryParsed(e *cacheEntry, params []reldb.Value, sp *obs.Span, entry *sqlexec.StmtEntry) (*sqlexec.ResultSet, error) {
+	sel, _ := e.st.(*sqlparse.Select)
+	x, _ := e.st.(*sqlparse.Explain)
+	if x != nil {
+		sel = x.Select
+	}
+	if sel == nil {
+		return nil, fmt.Errorf("godbc: Query needs a SELECT (or EXPLAIN SELECT) statement")
+	}
+	opts := c.options(e.plan, entry)
 	var rs *sqlexec.ResultSet
-	if c.tx != nil {
-		var err error
-		rs, err = sqlexec.QueryOpts(c.tx, sel, params, sp, opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		err := c.db.Read(func(tx *reldb.Tx) error {
-			var err error
+	err := c.read(func(tx *reldb.Tx) (err error) {
+		switch {
+		case x == nil:
 			rs, err = sqlexec.QueryOpts(tx, sel, params, sp, opts)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return newRows(rs), nil
-}
-
-// explainParsed runs EXPLAIN SELECT: the plan description, not the data.
-func (c *conn) explainParsed(sel *sqlparse.Select, params []reldb.Value) (Rows, error) {
-	var rs *sqlexec.ResultSet
-	if c.tx != nil {
-		var err error
-		rs, err = sqlexec.Explain(c.tx, sel, params)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		err := c.db.Read(func(tx *reldb.Tx) error {
-			var err error
-			rs, err = sqlexec.Explain(tx, sel, params)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return newRows(rs), nil
-}
-
-// explainAnalyzeParsed runs EXPLAIN ANALYZE SELECT: the plan, executed and
-// annotated with measured phase timings and row counts.
-func (c *conn) explainAnalyzeParsed(sel *sqlparse.Select, params []reldb.Value) (Rows, error) {
-	opts := c.queryOptions(nil, nil)
-	var rs *sqlexec.ResultSet
-	if c.tx != nil {
-		var err error
-		rs, err = sqlexec.ExplainAnalyzeOpts(c.tx, sel, params, opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		err := c.db.Read(func(tx *reldb.Tx) error {
-			var err error
+		case x.Analyze:
 			rs, err = sqlexec.ExplainAnalyzeOpts(tx, sel, params, opts)
-			return err
-		})
-		if err != nil {
-			return nil, err
+		default:
+			rs, err = sqlexec.Explain(tx, sel, params)
 		}
-	}
-	return newRows(rs), nil
+		return err
+	})
+	return rs, err
 }
 
 func (c *conn) Prepare(query string) (Stmt, error) {
@@ -266,22 +235,17 @@ func (c *conn) Prepare(query string) (Stmt, error) {
 		mPrepareTotal.Inc()
 	}
 	sp := c.startSpan("prepare", query, 0)
-	e, err := c.parseCached(query)
-	if sp != nil {
-		sp.Parse = time.Since(sp.Start)
-	}
+	e, err := c.parsed(query, nil, sp)
+	c.finish(sp, err)
 	if err != nil {
-		if !c.quiet {
-			mStmtErrors.Inc()
-		}
-		c.finishSpan(sp, err)
 		return nil, err
 	}
-	c.finishSpan(sp, nil)
 	return &stmt{c: c, entry: e, src: query}, nil
 }
 
-func (c *conn) Begin() error {
+// canBegin reports why a transaction cannot start on the connection, if
+// it cannot.
+func (c *conn) canBegin() error {
 	if err := c.check(); err != nil {
 		return err
 	}
@@ -290,6 +254,13 @@ func (c *conn) Begin() error {
 	}
 	if c.tx != nil {
 		return fmt.Errorf("godbc: transaction already open")
+	}
+	return nil
+}
+
+func (c *conn) Begin() error {
+	if err := c.canBegin(); err != nil {
+		return err
 	}
 	c.tx = c.db.Begin()
 	return nil
@@ -301,21 +272,12 @@ func (c *conn) Begin() error {
 // contention into a sampling-governor stall instead of queueing behind the
 // workload it measures.
 func (c *conn) TryBegin() (bool, error) {
-	if err := c.check(); err != nil {
+	if err := c.canBegin(); err != nil {
 		return false, err
 	}
-	if c.readonly {
-		return false, fmt.Errorf("godbc: connection is read-only")
-	}
-	if c.tx != nil {
-		return false, fmt.Errorf("godbc: transaction already open")
-	}
 	tx, ok := c.db.TryBegin()
-	if !ok {
-		return false, nil
-	}
 	c.tx = tx
-	return true, nil
+	return ok, nil
 }
 
 func (c *conn) Commit() error {
@@ -380,53 +342,14 @@ func (s *stmt) Exec(args ...any) (Result, error) {
 	if s.closed {
 		return Result{}, fmt.Errorf("godbc: statement is closed")
 	}
-	if err := s.c.check(); err != nil {
-		return Result{}, err
-	}
-	if !s.c.quiet {
-		mExecTotal.Inc()
-	}
-	entry := sqlexec.Statements.Begin(s.src, "exec")
-	defer entry.Finish()
-	sp := s.c.startSpan("exec", s.src, len(args))
-	res, err := s.c.execParsed(s.entry.st, toValues(args), entry)
-	if err != nil && !s.c.quiet {
-		mStmtErrors.Inc()
-	}
-	s.c.finishSpan(sp, err)
-	if sp != nil && !s.c.quiet {
-		mExecNS.Observe(int64(sp.Total))
-	}
-	return res, err
+	return s.c.exec(s.src, s.entry, args)
 }
 
 func (s *stmt) Query(args ...any) (Rows, error) {
 	if s.closed {
 		return nil, fmt.Errorf("godbc: statement is closed")
 	}
-	if err := s.c.check(); err != nil {
-		return nil, err
-	}
-	sel, ok := s.entry.st.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("godbc: Query needs a SELECT statement")
-	}
-	if !s.c.quiet {
-		mQueryTotal.Inc()
-	}
-	start := time.Now()
-	entry := sqlexec.Statements.Begin(s.src, "query")
-	defer entry.Finish()
-	sp := s.c.startSpan("query", s.src, len(args))
-	out, err := s.c.queryPlanned(sel, s.entry.plan, toValues(args), sp, entry)
-	if err != nil && !s.c.quiet {
-		mStmtErrors.Inc()
-	}
-	if !s.c.quiet {
-		mQueryNS.Observe(int64(time.Since(start)))
-	}
-	s.c.finishSpan(sp, err)
-	return out, err
+	return s.c.query(s.src, s.entry, args)
 }
 
 func (s *stmt) Close() error {
@@ -525,21 +448,9 @@ func assign(dest any, v reldb.Value) error {
 // metaData implements schema inspection over a connection.
 type metaData struct{ c *conn }
 
-// withRead runs fn in the connection's open transaction when there is one,
-// otherwise in a fresh read transaction.
-func (m *metaData) withRead(fn func(tx *reldb.Tx) error) error {
-	if err := m.c.check(); err != nil {
-		return err
-	}
-	if m.c.tx != nil {
-		return fn(m.c.tx)
-	}
-	return m.c.db.Read(fn)
-}
-
 func (m *metaData) Tables() ([]string, error) {
 	var names []string
-	err := m.withRead(func(tx *reldb.Tx) error {
+	err := m.c.read(func(tx *reldb.Tx) error {
 		names = tx.TableNames()
 		return nil
 	})
@@ -548,7 +459,7 @@ func (m *metaData) Tables() ([]string, error) {
 
 func (m *metaData) Columns(table string) ([]ColumnInfo, error) {
 	var out []ColumnInfo
-	err := m.withRead(func(tx *reldb.Tx) error {
+	err := m.c.read(func(tx *reldb.Tx) error {
 		tbl, err := tx.Table(table)
 		if err != nil {
 			return err
@@ -571,7 +482,7 @@ func (m *metaData) Columns(table string) ([]ColumnInfo, error) {
 
 func (m *metaData) Indexes(table string) ([]IndexInfo, error) {
 	var out []IndexInfo
-	err := m.withRead(func(tx *reldb.Tx) error {
+	err := m.c.read(func(tx *reldb.Tx) error {
 		tbl, err := tx.Table(table)
 		if err != nil {
 			return err

@@ -10,36 +10,44 @@
 //	mem:<name>            a named, shared in-memory database
 //	file:<directory>      a durable database (snapshot + WAL) in a directory
 //
-// The file DSN accepts options: file:/path/to/dir?sync=1&checkpoint=50000.
-// Both drivers accept readonly=1, which rejects every mutating statement
-// on that connection — the access-authorization hook the paper sketches
-// for shared repositories (§5.1: "a simple matter to implement access
-// authorization to enforce different policies for performance data
-// security and sharing").
+// Options follow a "?" as k=v pairs joined by "&", as in
+// file:/path/to/dir?sync=1&checkpoint=50000. They are parsed strictly: an
+// unknown key or a malformed value fails Open. A boolean is 1, true or yes,
+// or 0, false or no.
 //
-// Both drivers also accept per-connection observability overrides,
-// ?trace=1&slowms=50: trace records every statement on the connection into
-// the obs tracer, slowms sets the connection's slow-query threshold in
-// milliseconds (0 silences a globally-configured threshold). Unset options
-// defer to the global obs configuration (PERFDMF_TRACE / PERFDMF_SLOW_MS).
+//	key              driver  value          default
+//	readonly         both    boolean        0
+//	trace            both    boolean        global setting
+//	slowms           both    integer >= 0   global setting
+//	workers          both    integer >= 0   GOMAXPROCS
+//	columnar         both    boolean        1
+//	telemetrybudget  both    number >= 0    DefaultTelemetryBudgetPct
+//	sync             file    boolean        0
+//	checkpoint       file    integer >= 0   0 (never)
 //
-// The ?workers=N option caps the parallelism of SELECT execution on the
-// connection: N>1 allows up to N worker goroutines for partitioned scans
-// and partial aggregation, N=0 (or 1) forces serial execution, and leaving
-// the option unset defers to the executor's default (GOMAXPROCS). Like the
-// observability options, malformed values fail Open.
-//
-// The ?telemetrybudget=PCT option sets the self-telemetry overhead budget
-// (percent) that StartTelemetry's sampling governor enforces when no
-// explicit budget is passed; ordinary connections validate and ignore it.
+// readonly=1 rejects every mutating statement on the connection — the
+// access-authorization hook the paper sketches for shared repositories
+// (§5.1). trace records every statement into the obs tracer, and slowms is
+// the slow-query threshold in milliseconds (0 silences a global one);
+// unset, both defer to the obs configuration (PERFDMF_TRACE and
+// PERFDMF_SLOW_MS).
+// workers caps the goroutines a SELECT may use (0 and 1 run serially);
+// columnar=0 forces the row path. telemetrybudget is the overhead budget
+// in percent that StartTelemetry's sampling governor enforces when no
+// explicit budget is passed; other connections only validate it. sync=1
+// fsyncs every commit, and checkpoint=N rewrites the snapshot every N
+// logged operations.
 package godbc
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"perfdmf/internal/reldb"
 )
@@ -176,59 +184,122 @@ func Open(dsn string) (Conn, error) {
 	return d.Open(rest)
 }
 
-// parseDSNOptions splits "path?k=v&k2=v2" into the path and option map.
-func parseDSNOptions(rest string) (string, map[string]string, error) {
+// connOptions is one parsed DSN: the path and every option value, already
+// in the form the connection uses. parseDSN is the only code that reads
+// DSN option text.
+type connOptions struct {
+	path     string
+	readonly bool    // reject all mutating statements
+	obs      obsOpts // per-connection trace/slow-query overrides
+	workers  int     // sqlexec.Options.Workers: 0 = GOMAXPROCS, 1 = serial
+	// columnar enables the vectorized aggregation path (default on). Off
+	// forces row-at-a-time execution for comparison runs.
+	columnar bool
+	budget   float64       // ?telemetrybudget, else DefaultTelemetryBudgetPct
+	store    reldb.Options // ?sync and ?checkpoint (file: only)
+}
+
+// dsnOption is one DSN key. set stores a value and reports whether it is
+// well formed; a fileOnly key is unknown to the mem: driver.
+type dsnOption struct {
+	key      string
+	fileOnly bool
+	want     string // the grammar, for the error message
+	set      func(o *connOptions, v string) bool
+}
+
+// dsnOptions is the whole DSN grammar, sorted by key.
+var dsnOptions = []dsnOption{
+	{"checkpoint", true, "a non-negative integer", func(o *connOptions, v string) (ok bool) {
+		o.store.CheckpointEvery, ok = dsnInt(v, math.MaxInt64)
+		return ok
+	}},
+	{"columnar", false, "a boolean", func(o *connOptions, v string) (ok bool) {
+		o.columnar, ok = dsnBool(v)
+		return ok
+	}},
+	{"readonly", false, "a boolean", func(o *connOptions, v string) (ok bool) {
+		o.readonly, ok = dsnBool(v)
+		return ok
+	}},
+	{"slowms", false, "a non-negative integer", func(o *connOptions, v string) bool {
+		ms, ok := dsnInt(v, int64(math.MaxInt64/time.Millisecond))
+		o.obs.slowSet, o.obs.slow = true, time.Duration(ms)*time.Millisecond
+		return ok
+	}},
+	{"sync", true, "a boolean", func(o *connOptions, v string) (ok bool) {
+		o.store.Sync, ok = dsnBool(v)
+		return ok
+	}},
+	{"telemetrybudget", false, "a non-negative number", func(o *connOptions, v string) bool {
+		pct, err := strconv.ParseFloat(v, 64)
+		o.budget = pct
+		return err == nil && pct >= 0 && !math.IsInf(pct, 1)
+	}},
+	{"trace", false, "a boolean", func(o *connOptions, v string) (ok bool) {
+		o.obs.traceSet = true
+		o.obs.trace, ok = dsnBool(v)
+		return ok
+	}},
+	{"workers", false, "a non-negative integer", func(o *connOptions, v string) bool {
+		n, ok := dsnInt(v, math.MaxInt64)
+		o.workers = max(n, 1) // ?workers=0 runs serially, as 1 does
+		return ok
+	}},
+}
+
+func dsnBool(v string) (b, ok bool) {
+	switch v {
+	case "1", "true", "yes":
+		return true, true
+	case "0", "false", "no":
+		return false, true
+	}
+	return false, false
+}
+
+func dsnInt(v string, limit int64) (int, bool) {
+	n, err := strconv.ParseInt(v, 10, 0)
+	return int(n), err == nil && n >= 0 && n <= limit
+}
+
+// parseDSN parses what follows "scheme:" in a DSN, path?k=v&k2=v2, for the
+// file: driver when file is set and for mem: otherwise. Unlike the lenient
+// global env knobs, DSN options are spelled by the user right now, so an
+// unknown key or a malformed value fails with the list of known keys: a
+// misspelled ?trce=1 that silently did nothing would leave the operator
+// believing tracing is on.
+func parseDSN(rest string, file bool) (connOptions, error) {
 	path, query, _ := strings.Cut(rest, "?")
-	opts := make(map[string]string)
+	o := connOptions{path: path, columnar: true, budget: DefaultTelemetryBudgetPct}
+	if file && path == "" {
+		return o, fmt.Errorf("godbc: file DSN needs a directory path")
+	}
 	if query == "" {
-		return path, opts, nil
+		return o, nil
+	}
+	fail := func(format string, args ...any) (connOptions, error) {
+		var known []string
+		for _, d := range dsnOptions {
+			if file || !d.fileOnly {
+				known = append(known, d.key)
+			}
+		}
+		return o, fmt.Errorf("godbc: "+format+" (known options: %s)", append(args, strings.Join(known, ", "))...)
 	}
 	for _, kv := range strings.Split(query, "&") {
 		k, v, ok := strings.Cut(kv, "=")
-		if !ok || k == "" {
-			return "", nil, fmt.Errorf("godbc: malformed DSN option %q", kv)
-		}
-		opts[k] = v
-	}
-	return path, opts, nil
-}
-
-// checkOptions rejects DSN option keys the driver does not recognize. A
-// misspelled observability option (?trce=1) silently doing nothing is worse
-// than an error: the operator believes tracing is on when it is not.
-func checkOptions(opts map[string]string, known ...string) error {
-	for k := range opts {
-		recognized := false
-		for _, want := range known {
-			if k == want {
-				recognized = true
-				break
-			}
-		}
-		if !recognized {
-			sort.Strings(known)
-			return fmt.Errorf("godbc: unknown DSN option %q (known options: %s)",
-				k, strings.Join(known, ", "))
+		i := slices.IndexFunc(dsnOptions, func(d dsnOption) bool { return d.key == k && (file || !d.fileOnly) })
+		switch {
+		case !ok || k == "":
+			return fail("malformed DSN option %q", kv)
+		case i < 0:
+			return fail("unknown DSN option %q", k)
+		case !dsnOptions[i].set(&o, v):
+			return fail("option %s=%q is not %s", k, v, dsnOptions[i].want)
 		}
 	}
-	return nil
-}
-
-func optInt(opts map[string]string, key string, def int) (int, error) {
-	s, ok := opts[key]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("godbc: option %s=%q is not an integer", key, s)
-	}
-	return n, nil
-}
-
-func optBool(opts map[string]string, key string) bool {
-	v := opts[key]
-	return v == "1" || v == "true" || v == "yes"
+	return o, nil
 }
 
 // --- built-in drivers ---
@@ -242,45 +313,23 @@ type memDriver struct {
 }
 
 func (d *memDriver) Open(rest string) (Conn, error) {
-	name, opts, err := parseDSNOptions(rest)
+	o, err := parseDSN(rest, false)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkOptions(opts, "readonly", "trace", "slowms", "workers", "columnar", "telemetrybudget"); err != nil {
-		return nil, err
-	}
-	oo, err := parseObsOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	workers, err := parseWorkersOption(opts)
-	if err != nil {
-		return nil, err
-	}
-	columnar, err := parseColumnarOption(opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := parseTelemetryBudgetOption(opts); err != nil {
 		return nil, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	db := d.dbs[name]
+	db := d.dbs[o.path]
 	if db == nil {
 		db = reldb.NewMemory()
-		d.dbs[name] = db
+		d.dbs[o.path] = db
 	}
-	c := newConn(db, nil)
-	c.readonly = optBool(opts, "readonly")
-	c.obs = oo
-	c.workers = workers
-	c.columnar = columnar
-	return c, nil
+	return newConn(db, o, nil), nil
 }
 
 // fileDriver serves durable databases rooted at a directory. Connections to
-// the same directory share one engine instance and are reference counted.
+// the same directory share one engine instance and are reference counted;
+// the first connection's sync and checkpoint options configure it.
 type fileDriver struct {
 	mu   sync.Mutex
 	open map[string]*fileEntry
@@ -292,57 +341,28 @@ type fileEntry struct {
 }
 
 func (d *fileDriver) Open(rest string) (Conn, error) {
-	path, opts, err := parseDSNOptions(rest)
+	o, err := parseDSN(rest, true)
 	if err != nil {
-		return nil, err
-	}
-	if path == "" {
-		return nil, fmt.Errorf("godbc: file DSN needs a directory path")
-	}
-	if err := checkOptions(opts, "readonly", "sync", "checkpoint", "trace", "slowms", "workers", "columnar", "telemetrybudget"); err != nil {
-		return nil, err
-	}
-	oo, err := parseObsOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	workers, err := parseWorkersOption(opts)
-	if err != nil {
-		return nil, err
-	}
-	columnar, err := parseColumnarOption(opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := parseTelemetryBudgetOption(opts); err != nil {
 		return nil, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	entry := d.open[path]
+	entry := d.open[o.path]
 	if entry == nil {
-		chk, err := optInt(opts, "checkpoint", 0)
-		if err != nil {
-			return nil, err
-		}
-		db, err := reldb.Open(path, reldb.Options{
-			Sync:            optBool(opts, "sync"),
-			CheckpointEvery: chk,
-		})
+		db, err := reldb.Open(o.path, o.store)
 		if err != nil {
 			return nil, err
 		}
 		entry = &fileEntry{db: db}
-		d.open[path] = entry
+		d.open[o.path] = entry
 	}
 	entry.refs++
-	readonly := optBool(opts, "readonly")
 	release := func() error {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		entry.refs--
 		if entry.refs == 0 {
-			delete(d.open, path)
+			delete(d.open, o.path)
 			if err := entry.db.Checkpoint(); err != nil {
 				entry.db.Close()
 				return err
@@ -351,12 +371,7 @@ func (d *fileDriver) Open(rest string) (Conn, error) {
 		}
 		return nil
 	}
-	c := newConn(entry.db, release)
-	c.readonly = readonly
-	c.obs = oo
-	c.workers = workers
-	c.columnar = columnar
-	return c, nil
+	return newConn(entry.db, o, release), nil
 }
 
 var memDrv = &memDriver{dbs: make(map[string]*reldb.DB)}

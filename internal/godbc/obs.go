@@ -2,8 +2,6 @@ package godbc
 
 import (
 	"context"
-	"fmt"
-	"strconv"
 	"time"
 
 	"perfdmf/internal/obs"
@@ -32,82 +30,6 @@ type obsOpts struct {
 	trace    bool
 	slowSet  bool
 	slow     time.Duration
-}
-
-// parseObsOptions validates the trace and slowms DSN options. Unlike the
-// lenient global env knobs, DSN options are spelled by the user right now,
-// so malformed values are errors.
-func parseObsOptions(opts map[string]string) (obsOpts, error) {
-	var o obsOpts
-	if v, ok := opts["trace"]; ok {
-		switch v {
-		case "1", "true", "yes":
-			o.traceSet, o.trace = true, true
-		case "0", "false", "no":
-			o.traceSet, o.trace = true, false
-		default:
-			return o, fmt.Errorf("godbc: option trace=%q is not a boolean", v)
-		}
-	}
-	if v, ok := opts["slowms"]; ok {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			return o, fmt.Errorf("godbc: option slowms=%q is not a non-negative integer", v)
-		}
-		o.slowSet, o.slow = true, time.Duration(ms)*time.Millisecond
-	}
-	return o, nil
-}
-
-// parseWorkersOption validates the ?workers=N knob with the same strictness
-// as the observability options: the value must be a non-negative integer.
-// It returns -1 when the option is absent (defer to the executor default).
-func parseWorkersOption(opts map[string]string) (int, error) {
-	v, ok := opts["workers"]
-	if !ok {
-		return -1, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("godbc: option workers=%q is not a non-negative integer", v)
-	}
-	return n, nil
-}
-
-// parseColumnarOption validates the ?columnar=0|1 knob: whether SELECT
-// execution may take the vectorized aggregation path over sealed column
-// segments. It returns true (enabled) when the option is absent; ?columnar=0
-// forces the row path, which benchmarks use for side-by-side comparison.
-func parseColumnarOption(opts map[string]string) (bool, error) {
-	v, ok := opts["columnar"]
-	if !ok {
-		return true, nil
-	}
-	switch v {
-	case "0", "false", "no":
-		return false, nil
-	case "1", "true", "yes":
-		return true, nil
-	}
-	return false, fmt.Errorf("godbc: option columnar=%q is not a boolean", v)
-}
-
-// parseTelemetryBudgetOption validates the ?telemetrybudget=PCT knob: the
-// self-telemetry overhead budget, in percent, StartTelemetry governs its
-// sampling by when the caller passes no explicit budget. The option rides
-// the ordinary DSN so one connection string configures both the workload
-// connections and the telemetry pipeline; regular connections validate it
-// and ignore the value. 0 disables the governor (every span is kept).
-func parseTelemetryBudgetOption(opts map[string]string) (float64, bool, error) {
-	v, ok := opts["telemetrybudget"]
-	if !ok {
-		return 0, false, nil
-	}
-	pct, err := strconv.ParseFloat(v, 64)
-	if err != nil || pct < 0 {
-		return 0, false, fmt.Errorf("godbc: option telemetrybudget=%q is not a non-negative number", v)
-	}
-	return pct, true, nil
 }
 
 // tracingOn resolves the connection's effective tracing switch.
@@ -146,10 +68,15 @@ func (c *conn) startSpan(kind, stmt string, nparams int) *obs.Span {
 	return sp
 }
 
-// finishSpan stamps the total, records the error, and routes the span to
-// the tracer, the slow-query log, and the telemetry sink, honouring the
-// connection's per-DSN trace/slowms overrides.
-func (c *conn) finishSpan(sp *obs.Span, err error) {
+// finish ends one statement's accounting. A failure counts in
+// godbc_statement_errors_total unless the connection is quiet; the span, if
+// any, is stamped and routed to the tracer, the slow-query log and the
+// telemetry sink, honouring the connection's per-DSN trace/slowms
+// overrides.
+func (c *conn) finish(sp *obs.Span, err error) {
+	if err != nil && !c.quiet {
+		mStmtErrors.Inc()
+	}
 	if sp == nil {
 		return
 	}

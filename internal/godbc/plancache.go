@@ -116,20 +116,3 @@ func (c *conn) parseCached(query string) (*cacheEntry, error) {
 	c.cache.store(query, e)
 	return e, nil
 }
-
-// queryOptions resolves the connection's execution options for one
-// statement: the workers knob (DSN ?workers=N; N=0 forces serial, unset
-// defers to the executor's GOMAXPROCS default), the statement's reusable
-// plan handle, and its live accounting entry.
-func (c *conn) queryOptions(plan *sqlexec.Plan, entry *sqlexec.StmtEntry) sqlexec.Options {
-	opts := sqlexec.Options{Plan: plan, Stmt: entry, NoColumnar: !c.columnar}
-	switch {
-	case c.workers < 0: // unset: executor default (GOMAXPROCS)
-		opts.Workers = 0
-	case c.workers == 0: // ?workers=0: serial
-		opts.Workers = 1
-	default:
-		opts.Workers = c.workers
-	}
-	return opts
-}

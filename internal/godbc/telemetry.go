@@ -16,7 +16,9 @@
 package godbc
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -255,10 +257,6 @@ type TelemetryStore struct {
 // Governor to wire the sink.
 func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error) {
 	o = o.withDefaults()
-	budget, err := resolveTelemetryBudget(dsn, o.BudgetPct)
-	if err != nil {
-		return nil, err
-	}
 	dc, err := Open(dsn)
 	if err != nil {
 		return nil, fmt.Errorf("godbc: telemetry store: %w", err)
@@ -272,10 +270,6 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 	// Span batches ride relaxed commits: group durability is batched so
 	// telemetry fsyncs never contend with the workload's own.
 	c.relaxed = true
-	// The store must be able to write regardless of DSN observability
-	// options; per-connection trace/slowms make no sense on a quiet
-	// connection.
-	c.obs = obsOpts{}
 	for _, ddl := range telemetryDDL {
 		if _, err := c.Exec(ddl); err != nil {
 			c.Close()
@@ -307,7 +301,7 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 		return nil, fmt.Errorf("godbc: telemetry prepare: %w", err)
 	}
 	var gov *obs.Governor
-	if budget > 0 {
+	if budget := c.telemetryBudget(o.BudgetPct); budget > 0 {
 		gov = obs.NewGovernor(budget)
 	}
 	ts := &TelemetryStore{
@@ -333,28 +327,17 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 	return ts, nil
 }
 
-// resolveTelemetryBudget picks the governor budget: an explicit option
-// wins, then the DSN's ?telemetrybudget, then the default. Negative (or
+// telemetryBudget picks the governor budget: an explicit option wins, then
+// the DSN's ?telemetrybudget, then the default. Negative (or
 // telemetrybudget=0) disables the governor and returns 0.
-func resolveTelemetryBudget(dsn string, explicit float64) (float64, error) {
-	if explicit < 0 {
-		return 0, nil
+func (o connOptions) telemetryBudget(explicit float64) float64 {
+	switch {
+	case explicit < 0:
+		return 0
+	case explicit > 0:
+		return explicit
 	}
-	if explicit > 0 {
-		return explicit, nil
-	}
-	if _, rest, ok := strings.Cut(dsn, ":"); ok {
-		if _, opts, err := parseDSNOptions(rest); err == nil {
-			pct, set, err := parseTelemetryBudgetOption(opts)
-			if err != nil {
-				return 0, err
-			}
-			if set {
-				return pct, nil
-			}
-		}
-	}
-	return DefaultTelemetryBudgetPct, nil
+	return o.budget
 }
 
 // Governor returns the store's sampling governor, nil when the budget is
@@ -456,12 +439,19 @@ func (ts *TelemetryStore) writer() {
 				}
 			}
 		case ack := <-ts.flushReq:
-			pending = ts.drainQueue(pending)
+			// Commit the pending entries, then one queue's worth — every
+			// batch acknowledged before the Flush. Draining on top of a
+			// pending group, or past one queue while producers refill it,
+			// would let the uncommitted backlog outgrow the queue plus
+			// maxPending.
 			var err error
 			if len(pending) > 0 {
 				err = ts.commitGroup(pending)
-				pending = nil
 			}
+			if drained := ts.drainQueue(nil, cap(ts.queue)); len(drained) > 0 {
+				err = errors.Join(err, ts.commitGroup(drained))
+			}
+			pending = nil
 			ack <- err
 		case <-scrapeC:
 			ts.scrapeTick(time.Now())
@@ -473,7 +463,7 @@ func (ts *TelemetryStore) writer() {
 			// workload's closing activity makes it into the history) and
 			// one last retention sweep, so short-lived processes still
 			// honour the caps.
-			pending = ts.drainQueue(pending)
+			pending = ts.drainQueue(pending, math.MaxInt)
 			if len(pending) > 0 {
 				ts.commitGroup(pending) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
 			}
@@ -484,9 +474,9 @@ func (ts *TelemetryStore) writer() {
 	}
 }
 
-// drainQueue empties the writer queue without blocking.
-func (ts *TelemetryStore) drainQueue(pending []obs.SinkEntry) []obs.SinkEntry {
-	for {
+// drainQueue moves up to max queued batches into pending without blocking.
+func (ts *TelemetryStore) drainQueue(pending []obs.SinkEntry, max int) []obs.SinkEntry {
+	for ; max > 0; max-- {
 		select {
 		case b := <-ts.queue:
 			pending = append(pending, b...)
@@ -494,6 +484,7 @@ func (ts *TelemetryStore) drainQueue(pending []obs.SinkEntry) []obs.SinkEntry {
 			return pending
 		}
 	}
+	return pending
 }
 
 // commitGroup persists one group in a single relaxed-durability transaction

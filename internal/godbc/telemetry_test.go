@@ -191,6 +191,15 @@ func TestDSNUnknownOptions(t *testing.T) {
 		{"file:" + dir + "?trcae=yes", `unknown DSN option "trcae"`},
 		{"file:" + dir + "?Trace=1", `unknown DSN option "Trace"`}, // keys are case-sensitive
 		{"file:" + dir + "?telemetry=1", `unknown DSN option "telemetry"`},
+		// readonly, sync and checkpoint are as strict as trace and columnar:
+		// ?readonly=on must not open a writable connection, nor ?sync=ture
+		// a non-durable archive.
+		{"mem:strict?readonly=on", `option readonly="on" is not a boolean`},
+		{"mem:strict?readonly=", `option readonly="" is not a boolean`},
+		{"file:" + dir + "?readonly=2", `option readonly="2" is not a boolean`},
+		{"file:" + dir + "?sync=ture", `option sync="ture" is not a boolean`},
+		{"file:" + dir + "?checkpoint=-1", `option checkpoint="-1" is not a non-negative integer`},
+		{"file:" + dir + "?checkpoint=1e3", `option checkpoint="1e3" is not a non-negative integer`},
 		// All known spellings still work.
 		{"mem:strict?trace=1&slowms=5&readonly=0", ""},
 		{"file:" + dir + "?sync=1&checkpoint=100&trace=0&slowms=0&readonly=0", ""},
