@@ -84,10 +84,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinIndexDifferential$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenDSN$$' -fuzztime 10s ./internal/godbc
 
-# One iteration per sub-benchmark: proves the guard still compiles and
-# runs. Real numbers come from `make bench`.
+# One iteration per sub-benchmark: proves the observability guard and the
+# E1 full-trial load and upload benchmarks still compile and run. Real
+# numbers come from `make bench`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench ObsOverhead -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'E1LargeTrial(Load|Upload)/threads-512$$' -benchtime 1x -benchmem .
 
 # Boot `perfdmf serve` on an ephemeral port, scrape /healthz and /metrics,
 # and assert both respond. Exercises the real binary end to end.

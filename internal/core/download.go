@@ -119,6 +119,11 @@ func (s *DataSession) loadTrial(trialID int64) (*model.Profile, error) {
 		return nil, err
 	}
 	defer stmt.Close()
+	// The Scan destinations live outside the row loops: taking their
+	// addresses per row would move them to the heap once per row.
+	var node, context, thread, metric int64
+	var incl, excl, calls, subrs float64
+	dest := []any{&node, &context, &thread, &metric, &incl, &excl, &calls, &subrs}
 	for _, dbEvent := range eventDBIDs {
 		rs, err := stmt.Query(dbEvent)
 		if err != nil {
@@ -126,9 +131,7 @@ func (s *DataSession) loadTrial(trialID int64) (*model.Profile, error) {
 		}
 		mid := eventOf[dbEvent]
 		for rs.Next() {
-			var node, context, thread, metric int64
-			var incl, excl, calls, subrs float64
-			if err := rs.Scan(&node, &context, &thread, &metric, &incl, &excl, &calls, &subrs); err != nil {
+			if err := rs.Scan(dest...); err != nil {
 				rs.Close()
 				return nil, err
 			}
@@ -178,6 +181,9 @@ func (s *DataSession) loadTrial(trialID int64) (*model.Profile, error) {
 			return nil, err
 		}
 		defer astmt.Close()
+		var count int64
+		var max, min, mean, stddev float64
+		dest := []any{&node, &context, &thread, &count, &max, &min, &mean, &stddev}
 		for _, dbEvent := range atomicDBIDs {
 			rs, err := astmt.Query(dbEvent)
 			if err != nil {
@@ -185,9 +191,7 @@ func (s *DataSession) loadTrial(trialID int64) (*model.Profile, error) {
 			}
 			aid := atomicOf[dbEvent]
 			for rs.Next() {
-				var node, context, thread, count int64
-				var max, min, mean, stddev float64
-				if err := rs.Scan(&node, &context, &thread, &count, &max, &min, &mean, &stddev); err != nil {
+				if err := rs.Scan(dest...); err != nil {
 					rs.Close()
 					return nil, err
 				}

@@ -14,9 +14,10 @@ import (
 const stmtCacheMax = 256
 
 // cacheEntry is one cached statement: the parsed AST, plus — for SELECTs —
-// a reusable executor plan that memoizes the access-path decision keyed by
-// the base table's schema version. The AST is never mutated by execution,
-// so sharing it across executions (and with prepared statements) is safe.
+// a reusable executor plan that caches the compiled program and the
+// access-path decision, keyed by the schema version of every table the
+// statement binds. The AST is never mutated by execution, so sharing it
+// across executions (and with prepared statements) is safe.
 type cacheEntry struct {
 	st   sqlparse.Statement
 	plan *sqlexec.Plan // non-nil only for SELECT statements
@@ -97,8 +98,8 @@ func (sc *stmtCache) columnarHits() int64 {
 // parseCached returns the cached parse of query, parsing and caching on
 // miss. Every statement that reaches Exec/Query/Prepare with the same text
 // skips the lexer and parser after the first time; the attached plan
-// additionally skips the executor's access-path search while the schema
-// version holds (see sqlexec.Plan).
+// additionally skips expression compilation and the executor's access-path
+// search while the schema versions hold (see sqlexec.Plan).
 func (c *conn) parseCached(query string) (*cacheEntry, error) {
 	if e := c.cache.lookup(query); e != nil {
 		sqlexec.PlanCacheHit()

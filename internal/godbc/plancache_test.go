@@ -111,6 +111,68 @@ func TestPreparedPlanInvalidation(t *testing.T) {
 	}
 }
 
+// TestPreparedPlanSchemaChanges: ADD COLUMN and DROP COLUMN on the base
+// table or a joined table shift the row ordinals a compiled plan reads, so
+// prepared SELECT * and join statements must recompile and return the rows
+// the new schemas give.
+func TestPreparedPlanSchemaChanges(t *testing.T) {
+	c := openT(t, freshMem(t))
+	mustExec(t, c, "CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT, w BIGINT)")
+	mustExec(t, c, "CREATE TABLE u (id BIGINT PRIMARY KEY, t_id BIGINT, x VARCHAR, y VARCHAR)")
+	mustExec(t, c, "INSERT INTO t (id, v, w) VALUES (1, 10, 100), (2, 20, 200)")
+	mustExec(t, c, "INSERT INTO u (id, t_id, x, y) VALUES (1, 1, 'a', 'p'), (2, 2, 'b', 'q')")
+	srcs := []string{
+		"SELECT * FROM t WHERE id = ?",
+		"SELECT * FROM t JOIN u ON u.t_id = t.id WHERE t.id = ?",
+		"SELECT t.w, u.y FROM t JOIN u ON u.t_id = t.id WHERE t.id = ?",
+	}
+	stmts := make([]Stmt, len(srcs))
+	for i, src := range srcs {
+		st, err := c.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		stmts[i] = st
+	}
+	steps := []struct {
+		ddl  string
+		want [3]string
+	}{
+		{"", [3]string{"[[2 20 200]]", "[[2 20 200 2 2 b q]]", "[[200 q]]"}},
+		{"ALTER TABLE u ADD COLUMN z VARCHAR DEFAULT 'z'", [3]string{"[[2 20 200]]", "[[2 20 200 2 2 b q z]]", "[[200 q]]"}},
+		{"ALTER TABLE t DROP COLUMN v", [3]string{"[[2 200]]", "[[2 200 2 2 b q z]]", "[[200 q]]"}},
+		{"ALTER TABLE u DROP COLUMN x", [3]string{"[[2 200]]", "[[2 200 2 2 q z]]", "[[200 q]]"}},
+		{"ALTER TABLE t ADD COLUMN note VARCHAR DEFAULT 'n'", [3]string{"[[2 200 n]]", "[[2 200 n 2 2 q z]]", "[[200 q]]"}},
+	}
+	for _, step := range steps {
+		if step.ddl != "" {
+			mustExec(t, c, step.ddl)
+		}
+		// Twice: the recompiling run and the cached-program run.
+		for run := 0; run < 2; run++ {
+			for i, st := range stmts {
+				rows, err := st.Query(2)
+				if err != nil {
+					t.Fatalf("after %q: %s: %v", step.ddl, srcs[i], err)
+				}
+				var got [][]any
+				for rows.Next() {
+					r := make([]any, len(rows.Columns()))
+					for j := range r {
+						r[j] = rows.Value(j)
+					}
+					got = append(got, r)
+				}
+				rows.Close()
+				if s := fmt.Sprint(got); s != step.want[i] {
+					t.Errorf("after %q, run %d: %s = %s, want %s", step.ddl, run, srcs[i], s, step.want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedPlanTracksIndexDDL: a prepared statement's memoized access
 // path must follow CREATE INDEX / DROP INDEX issued after Prepare.
 func TestPreparedPlanTracksIndexDDL(t *testing.T) {

@@ -97,6 +97,11 @@ func extractFeatures(s *core.DataSession, trialID int64, metrics []string) (*Fea
 		return nil, err
 	}
 	defer stmt.Close()
+	// Scan destinations outside the row loop: per-row address-taking would
+	// heap-allocate every variable once per row.
+	var node, context, thread, metric int64
+	var excl float64
+	dest := []any{&node, &context, &thread, &metric, &excl}
 	for _, e := range events {
 		rows, err := stmt.Query(e.ID)
 		if err != nil {
@@ -104,9 +109,7 @@ func extractFeatures(s *core.DataSession, trialID int64, metrics []string) (*Fea
 		}
 		ec := eventCol[e.ID]
 		for rows.Next() {
-			var node, context, thread, metric int64
-			var excl float64
-			if err := rows.Scan(&node, &context, &thread, &metric, &excl); err != nil {
+			if err := rows.Scan(dest...); err != nil {
 				rows.Close()
 				return nil, err
 			}

@@ -293,8 +293,8 @@ func TestKillIndexJoinBound(t *testing.T) {
 	entry := Statements.Begin(src, "query")
 	defer entry.Finish()
 	if err := db.Read(func(tx *reldb.Tx) error {
-		q := &query{tx: tx, st: sel, cols: newColmap(), opts: Options{Stmt: entry}}
-		if _, err := q.bind(sel.From); err != nil {
+		q := &query{tx: tx, st: sel, opts: Options{Stmt: entry}}
+		if err := q.compile(); err != nil {
 			return err
 		}
 		left, err := q.scanAll("probe")
@@ -305,7 +305,7 @@ func TestKillIndexJoinBound(t *testing.T) {
 			t.Fatal("Kill did not find the registered statement")
 		}
 		polled, scanned := q.polled, q.scanned
-		if _, err := q.execJoin(left, sel.Joins[0]); !errors.Is(err, ErrStatementKilled) {
+		if _, err := q.execJoin(left, 0); !errors.Is(err, ErrStatementKilled) {
 			t.Fatalf("killed join returned %v, want ErrStatementKilled", err)
 		}
 		if !strings.Contains(q.joins[0], "index nested-loop join") {

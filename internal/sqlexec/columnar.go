@@ -286,45 +286,33 @@ type colProgram struct {
 	alwaysFalse bool // a conjunct is constant-false: nothing selects
 }
 
-// compilePredicate compiles WHERE into column predicates, or reports that
-// the clause needs the row path. schema is the base table's schema; for a
-// no-join base query, colmap positions are schema column indexes.
-func (q *query) compilePredicate(where sqlparse.Expr, schema *reldb.Schema) (*colProgram, bool) {
+// compilePredicate lowers the compiled WHERE into column predicates, or
+// reports that the clause needs the row path. schema is the base table's
+// schema; for a no-join base query, row ordinals are schema column indexes.
+func (q *query) compilePredicate(where *program, schema *reldb.Schema) (*colProgram, bool) {
 	prog := &colProgram{}
-	if where == nil {
-		return prog, true
-	}
-	colType := func(cr *sqlparse.ColRef) (int, reldb.Type, bool) {
-		pos, err := q.cols.resolve(cr)
-		if err != nil || pos < 0 || pos >= len(schema.Columns) {
+	colType := func(x *program) (int, reldb.Type, bool) {
+		if x.op != opCol || x.idx >= len(schema.Columns) {
 			return 0, 0, false
 		}
-		return pos, schema.Columns[pos].Type, true
+		return x.idx, schema.Columns[x.idx].Type, true
 	}
-	for _, conj := range splitAnd(where) {
-		switch e := conj.(type) {
-		case *sqlparse.IsNull:
-			cr, ok := e.X.(*sqlparse.ColRef)
+	for _, conj := range where.conjuncts() {
+		switch conj.op {
+		case opIsNull:
+			ci, _, ok := colType(conj.args[0])
 			if !ok {
 				return nil, false
 			}
-			ci, _, ok := colType(cr)
-			if !ok {
-				return nil, false
-			}
-			prog.preds = append(prog.preds, colPred{op: predIsNull, ci: ci, neg: e.Neg})
+			prog.preds = append(prog.preds, colPred{op: predIsNull, ci: ci, neg: conj.neg})
 			prog.cols = append(prog.cols, ci)
-		case *sqlparse.Between:
-			cr, ok := e.X.(*sqlparse.ColRef)
+		case opBetween:
+			ci, typ, ok := colType(conj.args[0])
 			if !ok {
 				return nil, false
 			}
-			ci, typ, ok := colType(cr)
-			if !ok {
-				return nil, false
-			}
-			lo, okLo := constVal(e.Lo, q.params)
-			hi, okHi := constVal(e.Hi, q.params)
+			lo, okLo := conj.args[1].constVal(q.params)
+			hi, okHi := conj.args[2].constVal(q.params)
 			if !okLo || !okHi {
 				return nil, false
 			}
@@ -334,45 +322,25 @@ func (q *query) compilePredicate(where sqlparse.Expr, schema *reldb.Schema) (*co
 				continue
 			}
 			prog.preds = append(prog.preds, colPred{
-				op: predBetween, ci: ci, neg: e.Neg,
+				op: predBetween, ci: ci, neg: conj.neg,
 				lo: makeCmpSpec(typ, lo), hi: makeCmpSpec(typ, hi),
 			})
 			prog.cols = append(prog.cols, ci)
-		case *sqlparse.Binary:
-			op := e.Op
+		case opBinary:
+			col, cexpr, op, ok := conj.colCmp()
 			switch op {
 			case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
 			default:
-				return nil, false
+				ok = false
 			}
-			cr, crOK := e.L.(*sqlparse.ColRef)
-			cexpr := e.R
-			if !crOK {
-				// const CMP col: flip the operator around the column.
-				cr, crOK = e.R.(*sqlparse.ColRef)
-				cexpr = e.L
-				switch op {
-				case sqlparse.OpLt:
-					op = sqlparse.OpGt
-				case sqlparse.OpLe:
-					op = sqlparse.OpGe
-				case sqlparse.OpGt:
-					op = sqlparse.OpLt
-				case sqlparse.OpGe:
-					op = sqlparse.OpLe
-				}
-			}
-			if !crOK {
-				return nil, false
-			}
-			ci, typ, ok := colType(cr)
 			if !ok {
 				return nil, false
 			}
-			c, okC := constVal(cexpr, q.params)
-			if !okC {
+			ci, typ, ok := colType(col)
+			if !ok {
 				return nil, false
 			}
+			c, _ := cexpr.constVal(q.params)
 			if c.IsNull() {
 				// Comparison with NULL is SQL NULL for every row.
 				prog.alwaysFalse = true
@@ -431,14 +399,8 @@ func newColScratch(rows, groupCols, maxDict int) *colScratch {
 	}
 }
 
-// colGroupBy is one GROUP BY column bound to its segment.
-type colGroupBy struct {
-	seg *reldb.ColumnSegment
-}
-
 // colAggSpec is one aggregate call bound to its argument segment.
 type colAggSpec struct {
-	node  *sqlparse.FuncCall
 	star  bool
 	seg   *reldb.ColumnSegment
 	dictF []float64 // dict segments: AsFloat per code, computed once
@@ -446,38 +408,33 @@ type colAggSpec struct {
 
 // tryColumnarAggregate attempts the vectorized aggregation path for a
 // no-join full-scan SELECT over table. It leaves q.colDone false (and
-// returns no error) whenever the row path must run instead — including on
-// resolution errors and malformed aggregate calls, which the row path
-// re-raises identically. On success the final result rows and sort keys
-// are stored on q (colDone) and the scan, filter and aggregation are all
-// complete.
+// returns no error) whenever the row path must run instead. On success the
+// final result rows and sort keys are stored on q (colDone) and the scan,
+// filter and aggregation are all complete.
 func (q *query) tryColumnarAggregate(table string) error {
-	st := q.st
-	items, colNames, err := q.expandItems()
-	if err != nil {
+	c := q.prog
+	if !c.grouped {
 		return nil
 	}
-	orderExprs, err := q.resolveOrderBy(items)
-	if err != nil {
-		return nil
+	aggCIs := make([]int, len(c.aggs))
+	for i, a := range c.aggs {
+		switch {
+		case a.distinct:
+			return nil
+		case a.star:
+			aggCIs[i] = -1
+		case a.arg.op != opCol:
+			return nil
+		default:
+			aggCIs[i] = a.arg.idx
+		}
 	}
-	if !q.isAggregate(items, orderExprs) {
-		return nil
-	}
-	aggNodes, err := q.aggNodes(items, orderExprs)
-	if err != nil {
-		return nil
-	}
-	for _, node := range aggNodes {
-		if node.Distinct {
+	groupCIs := make([]int, len(c.groupBy))
+	for i, g := range c.groupBy {
+		if g.op != opCol {
 			return nil
 		}
-		if node.Star {
-			continue
-		}
-		if _, ok := node.Args[0].(*sqlparse.ColRef); !ok {
-			return nil
-		}
+		groupCIs[i] = g.idx
 	}
 	if q.liveRows(table) < parallelMinRows {
 		return nil
@@ -487,31 +444,7 @@ func (q *query) tryColumnarAggregate(table string) error {
 		return nil
 	}
 	schema := tbl.Schema()
-	groupCIs := make([]int, len(st.GroupBy))
-	for i, e := range st.GroupBy {
-		cr, ok := e.(*sqlparse.ColRef)
-		if !ok {
-			return nil
-		}
-		pos, err := q.cols.resolve(cr)
-		if err != nil || pos >= len(schema.Columns) {
-			return nil
-		}
-		groupCIs[i] = pos
-	}
-	aggCIs := make([]int, len(aggNodes))
-	for i, node := range aggNodes {
-		if node.Star {
-			aggCIs[i] = -1
-			continue
-		}
-		pos, err := q.cols.resolve(node.Args[0].(*sqlparse.ColRef))
-		if err != nil || pos >= len(schema.Columns) {
-			return nil
-		}
-		aggCIs[i] = pos
-	}
-	prog, ok := q.compilePredicate(st.Where, schema)
+	prog, ok := q.compilePredicate(c.where, schema)
 	if !ok {
 		mColumnarFallbacks.Inc()
 		return nil
@@ -549,16 +482,15 @@ func (q *query) tryColumnarAggregate(table string) error {
 	q.scanned += int64(set.Rows())
 	mColumnarScans.Inc()
 	mColumnarRowsScanned.Add(int64(set.Rows()))
-	if p := q.opts.Plan; p != nil && p.Select == st {
+	if p := q.opts.Plan; p != nil && p.Select == q.st {
 		p.Columnar.Add(1)
 	}
 
-	out, keys, err := q.columnarFold(tbl, set, sel, groupCIs, aggCIs, aggNodes, items, orderExprs, workers)
+	out, keys, err := q.columnarFold(tbl, set, sel, groupCIs, aggCIs, workers)
 	if err != nil {
 		return err
 	}
 	q.colDone = true
-	q.colItems, q.colNames = items, colNames
 	q.colOut, q.colKeys = out, keys
 	return nil
 }
@@ -624,24 +556,24 @@ func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers 
 // kernels into the row path's chunkGroup/aggPartial state, then merges in
 // chunk order and finalizes — the exact pipeline the row path's aggregate
 // runs.
-func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groupCIs, aggCIs []int, aggNodes []*sqlparse.FuncCall, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr, workers int) ([][]reldb.Value, [][]reldb.Value, error) {
-	groups := make([]colGroupBy, len(groupCIs))
+func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groupCIs, aggCIs []int, workers int) ([][]reldb.Value, [][]reldb.Value, error) {
+	groups := make([]*reldb.ColumnSegment, len(groupCIs))
 	maxDict := 0
 	for i, ci := range groupCIs {
 		seg := set.Col(ci)
-		groups[i] = colGroupBy{seg: seg}
+		groups[i] = seg
 		if seg.IsDict() && len(seg.Dict()) > maxDict {
 			maxDict = len(seg.Dict())
 		}
 	}
-	aggs := make([]colAggSpec, len(aggNodes))
-	for i, node := range aggNodes {
-		if node.Star {
-			aggs[i] = colAggSpec{node: node, star: true}
+	aggs := make([]colAggSpec, len(aggCIs))
+	for i, ci := range aggCIs {
+		if ci < 0 {
+			aggs[i] = colAggSpec{star: true}
 			continue
 		}
-		seg := set.Col(aggCIs[i])
-		sp := colAggSpec{node: node, seg: seg}
+		seg := set.Col(ci)
+		sp := colAggSpec{seg: seg}
 		if seg.IsDict() {
 			dict := seg.Dict()
 			sp.dictF = make([]float64, len(dict))
@@ -652,24 +584,12 @@ func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int3
 		aggs[i] = sp
 	}
 
-	nchunks := (len(sel) + aggChunkRows - 1) / aggChunkRows
-	chunks := make([]*aggChunk, nchunks)
-	workers = min(workers, nchunks)
-	if workers > 1 {
-		q.fanOut(workers)
-	}
-	err := runParts(nchunks, workers, q.opts.Stmt, func() func(int) error {
+	return q.foldGroups(len(sel), workers, func(bool) func(lo, hi int) (*aggChunk, error) {
 		sc := newColScratch(min(aggChunkRows, len(sel)), len(groups), maxDict)
-		return func(i int) error {
-			lo, hi := chunkBounds(i, len(sel))
-			chunks[i] = q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, aggNodes, sc)
-			return nil
+		return func(lo, hi int) (*aggChunk, error) {
+			return q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, sc), nil
 		}
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return q.finalizeGroups(mergeChunks(chunks), items, orderExprs, aggNodes)
 }
 
 // foldColumnarChunk folds one selection chunk into per-group partials. The
@@ -679,13 +599,13 @@ func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int3
 // canonical keyOf over the materialized column values, and each group's
 // first row is the real stored row, so merged state is indistinguishable
 // from the row path's.
-func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groups []colGroupBy, aggs []colAggSpec, aggNodes []*sqlparse.FuncCall, sc *colScratch) *aggChunk {
+func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groups []*reldb.ColumnSegment, aggs []colAggSpec, sc *colScratch) *aggChunk {
 	n := len(sel)
 	ck := &aggChunk{groups: make(map[string]*chunkGroup)}
 	rowG := sc.rowGroups[:n]
 	kv := sc.kv[:len(groups)]
 	newGroup := func(pos int32) *chunkGroup {
-		g := &chunkGroup{key: keyOf(kv), first: tbl.RowAt(set.Slot(int(pos))), parts: newPartials(aggNodes)}
+		g := &chunkGroup{key: keyOf(kv), first: tbl.RowAt(set.Slot(int(pos))), parts: newPartials(q.prog.aggs)}
 		ck.groups[g.key] = g
 		ck.order = append(ck.order, g)
 		return g
@@ -697,8 +617,8 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 		for i := range rowG {
 			rowG[i] = g
 		}
-	case len(groups) == 1 && groups[0].seg.IsDict():
-		seg := groups[0].seg
+	case len(groups) == 1 && groups[0].IsDict():
+		seg := groups[0]
 		dict := seg.Dict()
 		codes := sc.i32[:n]
 		seg.GatherCodes(sel, codes)
@@ -719,8 +639,8 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 			}
 			rowG[i] = g
 		}
-	case len(groups) == 1 && intClass(groups[0].seg.Type()):
-		seg := groups[0].seg
+	case len(groups) == 1 && intClass(groups[0].Type()):
+		seg := groups[0]
 		vals := sc.i64[:n]
 		seg.GatherInts(sel, vals)
 		hasNulls := seg.HasNulls()
@@ -743,8 +663,8 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 			}
 			rowG[i] = g
 		}
-	case len(groups) == 1 && groups[0].seg.Type() == reldb.TFloat:
-		seg := groups[0].seg
+	case len(groups) == 1 && groups[0].Type() == reldb.TFloat:
+		seg := groups[0]
 		vals := sc.f64[:n]
 		seg.GatherFloats(sel, vals)
 		hasNulls := seg.HasNulls()
@@ -770,7 +690,7 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 			rowG[i] = g
 		}
 	case len(groups) == 1:
-		seg := groups[0].seg
+		seg := groups[0]
 		strs := sc.strs[:n]
 		seg.GatherStrs(sel, strs)
 		hasNulls := seg.HasNulls()
@@ -796,7 +716,7 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 	default:
 		for i, r := range sel {
 			for c := range groups {
-				kv[c] = groups[c].seg.ValueAt(int(r))
+				kv[c] = groups[c].ValueAt(int(r))
 			}
 			g := ck.groups[keyOf(kv)]
 			if g == nil {

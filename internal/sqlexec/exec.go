@@ -2,7 +2,6 @@ package sqlexec
 
 import (
 	"fmt"
-	"strings"
 
 	"perfdmf/internal/reldb"
 	"perfdmf/internal/sqlparse"
@@ -70,7 +69,11 @@ func ExecOpts(tx *reldb.Tx, stmt sqlparse.Statement, params []reldb.Value, opts 
 // execKill resolves the statement id (a literal or parameter) and cancels
 // the matching statement. RowsAffected is 1 when a statement was killed.
 func execKill(st *sqlparse.Kill, params []reldb.Value) (Result, error) {
-	v, ok := constVal(st.ID, params)
+	p, err := (&compiler{cols: newColmap()}).compile(st.ID, false)
+	if err != nil {
+		return Result{}, err
+	}
+	v, ok := p.constVal(params)
 	if !ok || v.T != reldb.TInt {
 		return Result{}, fmt.Errorf("sqlexec: KILL expects an integer statement id")
 	}
@@ -148,7 +151,8 @@ func execInsert(tx *reldb.Tx, st *sqlparse.Insert, params []reldb.Value) (Result
 			positions = append(positions, pos)
 		}
 	}
-	ev := &env{cols: newColmap(), params: params, tx: tx}
+	f := &frame{params: params, tx: tx}
+	c := &compiler{cols: newColmap()}
 	var res Result
 	// tx.Insert copies during normalization, so one scratch row serves
 	// every VALUES tuple — the bulk-load path is allocation-sensitive.
@@ -162,9 +166,28 @@ func execInsert(tx *reldb.Tx, st *sqlparse.Insert, params []reldb.Value) (Result
 			row[i] = reldb.Null
 		}
 		for i, e := range exprs {
-			v, err := eval(e, ev)
-			if err != nil {
-				return Result{}, err
+			// Literals and placeholders copy straight into the row; any
+			// other expression compiles and evaluates with no columns.
+			var v reldb.Value
+			switch e := e.(type) {
+			case *sqlparse.Literal:
+				v = e.Value
+			case *sqlparse.Param:
+				if err := checkParams(e.Index+1, params); err != nil {
+					return Result{}, err
+				}
+				v = params[e.Index]
+			default:
+				p, err := c.compile(e, false)
+				if err == nil {
+					err = checkParams(c.nparams, params)
+				}
+				if err == nil {
+					v, err = p.eval(f)
+				}
+				if err != nil {
+					return Result{}, err
+				}
 			}
 			row[positions[i]] = v
 		}
@@ -180,24 +203,38 @@ func execInsert(tx *reldb.Tx, st *sqlparse.Insert, params []reldb.Value) (Result
 	return res, nil
 }
 
-// matchingSlots returns the slots of base-table rows satisfying where,
-// using an index when a top-level conjunct permits, otherwise scanning.
-// stmt (nil-safe) is polled every cancelCheckRows rows so a KILL unwinds
-// UPDATE/DELETE scans the same way it unwinds SELECT scans.
-func matchingSlots(tx *reldb.Tx, table, alias string, where sqlparse.Expr, params []reldb.Value, stmt *StmtEntry) ([]int, error) {
+// compileDML compiles a single-table statement's expressions (nil
+// entries stay nil) against table and checks the parameter count, so DML
+// reports bad columns and missing parameters before it reads a row.
+func compileDML(tx *reldb.Tx, table string, params []reldb.Value, exprs ...sqlparse.Expr) ([]*program, error) {
 	tbl, err := tx.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	cols := newColmap()
-	cols.bind(aliasOr(alias, table), table, tbl.Schema())
-	ev := &env{cols: cols, params: params, tx: tx}
+	c := &compiler{cols: newColmap()}
+	c.cols.bind(table, table, tbl.Schema().ColumnNames())
+	progs, err := c.compileAll(exprs, false)
+	if err != nil {
+		return nil, err
+	}
+	return progs, checkParams(c.nparams, params)
+}
 
-	candidates, dec, err := planAccess(tx, table, aliasOr(alias, table), where, params, false)
+// matchingSlots returns the slots of base-table rows satisfying the
+// compiled WHERE wp, using an index when a top-level conjunct permits,
+// otherwise scanning. stmt (nil-safe) is polled every cancelCheckRows rows
+// so a KILL unwinds UPDATE/DELETE scans the same way it unwinds SELECT
+// scans.
+func matchingSlots(tx *reldb.Tx, table string, wp *program, params []reldb.Value, stmt *StmtEntry) ([]int, error) {
+	f := &frame{params: params, tx: tx}
+	candidates, dec, err := planAccess(tx, table, wp, params)
 	if err != nil {
 		return nil, err
 	}
 	scanned := dec.kind == accessFullScan
+	if dec.exact {
+		wp = nil // the index answered the whole WHERE
+	}
 	var out []int
 	checked := 0
 	check := func(slot int) error {
@@ -205,9 +242,9 @@ func matchingSlots(tx *reldb.Tx, table, alias string, where sqlparse.Expr, param
 		if row == nil {
 			return nil
 		}
-		if where != nil {
-			ev.row = row
-			v, err := eval(where, ev)
+		if wp != nil {
+			f.row = row
+			v, err := wp.eval(f)
 			if err != nil {
 				return err
 			}
@@ -263,18 +300,29 @@ func aliasOr(alias, table string) string {
 }
 
 func execUpdate(tx *reldb.Tx, st *sqlparse.Update, params []reldb.Value, stmt *StmtEntry) (Result, error) {
+	exprs := []sqlparse.Expr{st.Where}
+	for _, set := range st.Sets {
+		exprs = append(exprs, set.Expr)
+	}
+	progs, err := compileDML(tx, st.Table, params, exprs...)
+	if err != nil {
+		return Result{}, err
+	}
 	tbl, err := tx.Table(st.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	schema := tbl.Schema()
-	slots, err := matchingSlots(tx, st.Table, "", st.Where, params, stmt)
+	positions := make([]int, len(st.Sets))
+	for i, set := range st.Sets {
+		if positions[i] = tbl.Schema().ColumnIndex(set.Column); positions[i] < 0 {
+			return Result{}, fmt.Errorf("sqlexec: table %s has no column %s", st.Table, set.Column)
+		}
+	}
+	slots, err := matchingSlots(tx, st.Table, progs[0], params, stmt)
 	if err != nil {
 		return Result{}, err
 	}
-	cols := newColmap()
-	cols.bind(st.Table, st.Table, schema)
-	ev := &env{cols: cols, params: params, tx: tx}
+	f := &frame{params: params, tx: tx}
 	var res Result
 	applied := 0
 	for _, slot := range slots {
@@ -290,17 +338,13 @@ func execUpdate(tx *reldb.Tx, st *sqlparse.Update, params []reldb.Value, stmt *S
 		}
 		row := make(reldb.Row, len(old))
 		copy(row, old)
-		ev.row = old
-		for _, set := range st.Sets {
-			pos := schema.ColumnIndex(set.Column)
-			if pos < 0 {
-				return Result{}, fmt.Errorf("sqlexec: table %s has no column %s", st.Table, set.Column)
-			}
-			v, err := eval(set.Expr, ev)
+		f.row = old
+		for i, p := range progs[1:] {
+			v, err := p.eval(f)
 			if err != nil {
 				return Result{}, err
 			}
-			row[pos] = v
+			row[positions[i]] = v
 		}
 		if err := tx.Update(st.Table, slot, row); err != nil {
 			return Result{}, err
@@ -311,7 +355,11 @@ func execUpdate(tx *reldb.Tx, st *sqlparse.Update, params []reldb.Value, stmt *S
 }
 
 func execDelete(tx *reldb.Tx, st *sqlparse.Delete, params []reldb.Value, stmt *StmtEntry) (Result, error) {
-	slots, err := matchingSlots(tx, st.Table, "", st.Where, params, stmt)
+	progs, err := compileDML(tx, st.Table, params, st.Where)
+	if err != nil {
+		return Result{}, err
+	}
+	slots, err := matchingSlots(tx, st.Table, progs[0], params, stmt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -332,85 +380,55 @@ func execDelete(tx *reldb.Tx, st *sqlparse.Delete, params []reldb.Value, stmt *S
 	return res, nil
 }
 
-// planAccess inspects the top-level AND conjuncts of where for a predicate
-// on an indexed column of the base table. It returns a candidate slot list
-// plus the decision it took; dec.kind == accessFullScan means no index
-// applied and the caller must scan every live row. requireQualified
-// restricts planning to conjuncts whose column reference is explicitly
-// qualified with the base alias; it must be set when the query has joins,
-// where an unqualified name may belong to another table.
-func planAccess(tx *reldb.Tx, table, alias string, where sqlparse.Expr, params []reldb.Value, requireQualified bool) (slots []int, dec accessDecision, err error) {
-	conjuncts := splitAnd(where)
-	evalConst := func(e sqlparse.Expr) (reldb.Value, bool) {
-		return constVal(e, params)
+// planAccess inspects the top-level AND conjuncts of the compiled where
+// for a predicate on an indexed column of the base table, whose columns
+// are the row's first ordinals whatever the joins. It returns a candidate
+// slot list plus the decision it took; dec.kind == accessFullScan means no
+// index applied and the caller must scan every live row.
+func planAccess(tx *reldb.Tx, table string, where *program, params []reldb.Value) (slots []int, dec accessDecision, err error) {
+	tbl, err := tx.Table(table)
+	if err != nil {
+		return nil, accessDecision{}, err
 	}
-	colOf := func(e sqlparse.Expr) (string, bool) {
-		c, ok := e.(*sqlparse.ColRef)
-		if !ok {
+	schema := tbl.Schema()
+	colOf := func(p *program) (string, bool) {
+		if p.op != opCol || p.idx >= len(schema.Columns) {
 			return "", false
 		}
-		if c.Table == "" {
-			if requireQualified {
-				return "", false
-			}
-			return c.Name, true
-		}
-		if !strings.EqualFold(c.Table, alias) && !strings.EqualFold(c.Table, table) {
-			return "", false
-		}
-		return c.Name, true
+		return schema.Columns[p.idx].Name, true
 	}
+	conjuncts := where.conjuncts()
 	// Collect the constant-equality conjuncts once; a composite index that
 	// covers several of them at once beats any single-column plan. The
-	// value-side expression rides along so the decision can be memoized and
+	// value program rides along so the decision can be memoized and
 	// replayed against future parameter sets.
-	type eqPred struct {
-		col  string
-		val  reldb.Value
-		expr sqlparse.Expr
-	}
-	var eqs []eqPred
+	var eqCols []string
+	var eqVals []reldb.Value
+	var eqExprs []*program
 	for _, c := range conjuncts {
-		b, ok := c.(*sqlparse.Binary)
-		if !ok || b.Op != sqlparse.OpEq {
+		cp, vp, op, ok := c.colCmp()
+		if !ok || op != sqlparse.OpEq {
 			continue
 		}
-		col, okL := colOf(b.L)
-		v, okR := evalConst(b.R)
-		vexpr := b.R
-		if !okL || !okR {
-			col, okL = colOf(b.R)
-			v, okR = evalConst(b.L)
-			vexpr = b.L
-		}
-		if okL && okR && !v.IsNull() {
-			eqs = append(eqs, eqPred{col, v, vexpr})
+		col, okC := colOf(cp)
+		if v, okV := vp.constVal(params); okC && okV && !v.IsNull() {
+			eqCols, eqVals, eqExprs = append(eqCols, col), append(eqVals, v), append(eqExprs, vp)
 		}
 	}
-	// Try composite coverage from the largest subset down to pairs.
-	if len(eqs) >= 2 {
-		for size := len(eqs); size >= 2; size-- {
-			// Contiguous-subset search keeps this cheap; predicates almost
-			// always appear in index order in generated SQL.
-			for start := 0; start+size <= len(eqs); start++ {
-				cols := make([]string, size)
-				vals := make([]reldb.Value, size)
-				exprs := make([]sqlparse.Expr, size)
-				for i := 0; i < size; i++ {
-					cols[i] = eqs[start+i].col
-					vals[i] = eqs[start+i].val
-					exprs[i] = eqs[start+i].expr
-				}
-				if s, used := tx.LookupEqMulti(table, cols, vals); used {
-					return s, accessDecision{kind: accessMultiEq, cols: cols, valExprs: exprs}, nil
-				}
+	// Try composite coverage from the largest run down to pairs.
+	// Contiguous runs keep this cheap; predicates almost always appear in
+	// index order in generated SQL.
+	for size := len(eqCols); size >= 2; size-- {
+		for lo, hi := 0, size; hi <= len(eqCols); lo, hi = lo+1, hi+1 {
+			if s, used := tx.LookupEqMulti(table, eqCols[lo:hi], eqVals[lo:hi]); used {
+				return s, accessDecision{kind: accessMultiEq, cols: eqCols[lo:hi], valExprs: eqExprs[lo:hi], exact: size == len(conjuncts)}, nil
 			}
 		}
 	}
 	// First preference: equality on an indexed column.
-	for _, eq := range eqs {
-		if s, used := tx.LookupEq(table, eq.col, eq.val); used {
-			return s, accessDecision{kind: accessEqIndex, cols: []string{eq.col}, valExprs: []sqlparse.Expr{eq.expr}}, nil
+	for i, col := range eqCols {
+		if s, used := tx.LookupEq(table, col, eqVals[i]); used {
+			return s, accessDecision{kind: accessEqIndex, cols: eqCols[i : i+1], valExprs: eqExprs[i : i+1], exact: len(conjuncts) == 1}, nil
 		}
 	}
 	// IN-lists and IN-subqueries on an indexed column become a union of
@@ -418,17 +436,16 @@ func planAccess(tx *reldb.Tx, table, alias string, where sqlparse.Expr, params [
 	// "WHERE fk IN (SELECT id ...)" statements off the full-scan path).
 inLists:
 	for _, c := range conjuncts {
-		in, ok := c.(*sqlparse.InList)
-		if !ok || in.Neg {
+		if c.op != opIn || c.neg {
 			continue
 		}
-		col, okC := colOf(in.X)
+		col, okC := colOf(c.args[0])
 		if !okC || !tx.IndexOn(table, col, false) {
 			continue
 		}
 		var vals []reldb.Value
-		if in.Sub != nil {
-			rs, err := Query(tx, in.Sub.Select, params)
+		if c.sub != nil {
+			rs, err := Query(tx, c.sub.Select, params)
 			if err != nil {
 				return nil, accessDecision{}, err
 			}
@@ -438,19 +455,13 @@ inLists:
 			for _, row := range rs.Rows {
 				vals = append(vals, row[0])
 			}
-		} else {
-			allConst := true
-			for _, item := range in.List {
-				v, ok := evalConst(item)
-				if !ok {
-					allConst = false
-					break
-				}
-				vals = append(vals, v)
+		}
+		for _, item := range c.args[1:] {
+			v, ok := item.constVal(params)
+			if !ok {
+				continue inLists
 			}
-			if !allConst {
-				continue
-			}
+			vals = append(vals, v)
 		}
 		seen := make(map[int]bool)
 		union := []int{}
@@ -471,48 +482,55 @@ inLists:
 		}
 		return union, accessDecision{kind: accessOther}, nil
 	}
-	// Second preference: a range predicate on an ordered-indexed column.
+	// Second preference: a range predicate on an ordered-indexed column,
+	// then BETWEEN on one.
+	for _, between := range []bool{false, true} {
+		if slots, ok := rangeAccess(tx, table, conjuncts, params, colOf, between); ok {
+			return slots, accessDecision{kind: accessOther}, nil
+		}
+	}
+	return nil, accessDecision{kind: accessFullScan}, nil
+}
+
+// rangeAccess collects the slots an ordered index yields for the first
+// range conjunct (or, with between, BETWEEN conjunct) it can answer.
+func rangeAccess(tx *reldb.Tx, table string, conjuncts []*program, params []reldb.Value, colOf func(*program) (string, bool), between bool) ([]int, bool) {
 	for _, c := range conjuncts {
-		b, ok := c.(*sqlparse.Binary)
-		if !ok {
-			continue
-		}
-		var col string
-		var v reldb.Value
-		var okC, okV bool
-		op := b.Op
-		col, okC = colOf(b.L)
-		v, okV = evalConst(b.R)
-		if !okC || !okV {
-			// Flip: const OP col.
-			col, okC = colOf(b.R)
-			v, okV = evalConst(b.L)
-			switch op {
-			case sqlparse.OpLt:
-				op = sqlparse.OpGt
-			case sqlparse.OpLe:
-				op = sqlparse.OpGe
-			case sqlparse.OpGt:
-				op = sqlparse.OpLt
-			case sqlparse.OpGe:
-				op = sqlparse.OpLe
-			}
-		}
-		if !okC || !okV || v.IsNull() {
-			continue
-		}
 		var lo, hi reldb.Value
 		var loInc, hiInc bool
-		switch op {
-		case sqlparse.OpLt:
-			hi = v
-		case sqlparse.OpLe:
-			hi, hiInc = v, true
-		case sqlparse.OpGt:
-			lo = v
-		case sqlparse.OpGe:
-			lo, loInc = v, true
+		cp, vp, op, ok := c.colCmp()
+		switch {
+		case ok && !between:
+			v, okV := vp.constVal(params)
+			switch op {
+			case sqlparse.OpLt:
+				hi = v
+			case sqlparse.OpLe:
+				hi, hiInc = v, true
+			case sqlparse.OpGt:
+				lo = v
+			case sqlparse.OpGe:
+				lo, loInc = v, true
+			default:
+				continue
+			}
+			if !okV || v.IsNull() {
+				continue
+			}
+		case between && c.op == opBetween && !c.neg:
+			var okL, okH bool
+			cp = c.args[0]
+			lo, okL = c.args[1].constVal(params)
+			hi, okH = c.args[2].constVal(params)
+			if !okL || !okH || lo.IsNull() || hi.IsNull() {
+				continue
+			}
+			loInc, hiInc = true, true
 		default:
+			continue
+		}
+		col, okC := colOf(cp)
+		if !okC {
 			continue
 		}
 		var collected []int
@@ -520,39 +538,32 @@ inLists:
 			collected = append(collected, slot)
 			return true
 		}) {
-			return collected, accessDecision{kind: accessOther}, nil
+			return collected, true
 		}
 	}
-	// BETWEEN on an ordered-indexed column.
-	for _, c := range conjuncts {
-		bt, ok := c.(*sqlparse.Between)
-		if !ok || bt.Neg {
-			continue
-		}
-		col, okC := colOf(bt.X)
-		lo, okL := evalConst(bt.Lo)
-		hi, okH := evalConst(bt.Hi)
-		if !okC || !okL || !okH || lo.IsNull() || hi.IsNull() {
-			continue
-		}
-		var collected []int
-		if tx.ScanRange(table, col, lo, hi, true, true, func(slot int) bool {
-			collected = append(collected, slot)
-			return true
-		}) {
-			return collected, accessDecision{kind: accessOther}, nil
-		}
-	}
-	return nil, accessDecision{kind: accessFullScan}, nil
+	return nil, false
 }
 
-// splitAnd flattens the top-level AND spine of an expression.
-func splitAnd(e sqlparse.Expr) []sqlparse.Expr {
-	if e == nil {
-		return nil
+// colCmp matches a comparison between a column and a constant or
+// parameter, as col op val with the operator flipped for val op col.
+func (p *program) colCmp() (col, val *program, op sqlparse.BinOp, ok bool) {
+	if p.op != opBinary {
+		return nil, nil, 0, false
 	}
-	if b, ok := e.(*sqlparse.Binary); ok && b.Op == sqlparse.OpAnd {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
+	col, val, op = p.args[0], p.args[1], p.bop
+	if col.op != opCol {
+		col, val = val, col
+		switch op {
+		case sqlparse.OpLt:
+			op = sqlparse.OpGt
+		case sqlparse.OpLe:
+			op = sqlparse.OpGe
+		case sqlparse.OpGt:
+			op = sqlparse.OpLt
+		case sqlparse.OpGe:
+			op = sqlparse.OpLe
+		}
 	}
-	return []sqlparse.Expr{e}
+	ok = col.op == opCol && (val.op == opConst || val.op == opParam)
+	return col, val, op, ok
 }

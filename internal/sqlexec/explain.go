@@ -22,37 +22,35 @@ func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSe
 		rs.Rows = append(rs.Rows, []reldb.Value{reldb.Str(fmt.Sprintf(format, args...))})
 	}
 
+	// The compiled program carries the WHERE and each join's equality key.
+	c, _, err := compileSelect(tx, st, params)
+	if err != nil {
+		return nil, err
+	}
+	recheck := true // an exact index answer needs no WHERE re-check
 	if st.From.Sub != nil {
 		add("base %s: derived table (subquery materialized)", describeRef(st.From))
 	} else if virtualRef(st.From) {
 		add("base %s: catalog (virtual table materialized at bind)", describeRef(st.From))
 	} else {
-		baseAlias := aliasOr(st.From.Alias, st.From.Table)
-		if _, err := tx.Table(st.From.Table); err != nil {
-			return nil, err
-		}
-		step, err := explainAccess(tx, st.From.Table, baseAlias, st.Where, params, len(st.Joins) > 0)
+		slots, dec, err := planAccess(tx, st.From.Table, c.where, params)
 		if err != nil {
 			return nil, err
 		}
+		step := "full scan"
+		if dec.kind != accessFullScan {
+			step = fmt.Sprintf("index access (%d candidate rows)", len(slots))
+		}
 		add("base %s: %s", describeRef(st.From), step)
+		recheck = !dec.exact
 	}
 
-	// Replicate the executor's binding order to classify each join.
-	cols := newColmap()
-	if err := bindRef(tx, cols, st.From, params); err != nil {
-		return nil, err
-	}
-	for _, join := range st.Joins {
-		leftWidth := cols.width
-		if err := bindRef(tx, cols, join.TableRef, params); err != nil {
-			return nil, err
-		}
+	for i, join := range st.Joins {
 		kind := joinKind(join)
-		if l, r, ok := findHashKey(cols, leftWidth, join.On); ok {
+		if jp := c.joins[i]; jp.keyed {
 			step := fmt.Sprintf("%s hash join %s (build %s, key cols %d=%d)",
-				kind, describeRef(join.TableRef), join.Table, l, r)
-			if ix, n := joinIndex(tx, join, true, r); ix != "" {
+				kind, describeRef(join.TableRef), join.Table, jp.leftPos, jp.rightPos)
+			if ix, n := joinIndex(tx, join, true, jp.rightPos); ix != "" {
 				step += fmt.Sprintf(", or index nested-loop join via %s when the left side has fewer than %d rows", ix, n)
 			}
 			add("%s", step)
@@ -60,7 +58,7 @@ func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSe
 			add("%s nested-loop join %s", kind, describeRef(join.TableRef))
 		}
 	}
-	if st.Where != nil {
+	if st.Where != nil && recheck {
 		add("filter: WHERE re-checked per row")
 	}
 	if len(st.GroupBy) > 0 || st.Having != nil {
@@ -120,66 +118,3 @@ func describeRef(tr sqlparse.TableRef) string {
 	return tr.Table
 }
 
-func bindRef(tx *reldb.Tx, cols *colmap, tr sqlparse.TableRef, params []reldb.Value) error {
-	if tr.Sub != nil {
-		// Only the column names are needed for join-key classification.
-		rs, err := Query(tx, tr.Sub, params)
-		if err != nil {
-			return err
-		}
-		cols.bindNames(aliasOr(tr.Alias, tr.Table), rs.Cols)
-		return nil
-	}
-	if def := catalogTable(tr.Table); def != nil {
-		cols.bindNames(aliasOr(tr.Alias, tr.Table), def.cols)
-		return nil
-	}
-	tbl, err := tx.Table(tr.Table)
-	if err != nil {
-		return err
-	}
-	cols.bind(aliasOr(tr.Alias, tr.Table), tr.Table, tbl.Schema())
-	return nil
-}
-
-// explainAccess mirrors planAccess's preference order but reports the
-// decision instead of collecting slots.
-func explainAccess(tx *reldb.Tx, table, alias string, where sqlparse.Expr, params []reldb.Value, requireQualified bool) (string, error) {
-	slots, dec, err := planAccess(tx, table, alias, where, params, requireQualified)
-	if err != nil {
-		return "", err
-	}
-	if dec.kind == accessFullScan {
-		return "full scan", nil
-	}
-	return fmt.Sprintf("index access (%d candidate rows)", len(slots)), nil
-}
-
-// findHashKey returns the positions of an equality pair usable for a hash
-// join: leftPos resolves inside the already-bound prefix, rightPos inside
-// the newly-bound table. It mirrors the detection in execJoin.
-func findHashKey(cols *colmap, leftWidth int, on sqlparse.Expr) (leftPos, rightPos int, ok bool) {
-	for _, c := range splitAnd(on) {
-		b, isBin := c.(*sqlparse.Binary)
-		if !isBin || b.Op != sqlparse.OpEq {
-			continue
-		}
-		lc, lok := b.L.(*sqlparse.ColRef)
-		rc, rok := b.R.(*sqlparse.ColRef)
-		if !lok || !rok {
-			continue
-		}
-		lp, lerr := cols.resolve(lc)
-		rp, rerr := cols.resolve(rc)
-		if lerr != nil || rerr != nil {
-			continue
-		}
-		switch {
-		case lp < leftWidth && rp >= leftWidth:
-			return lp, rp - leftWidth, true
-		case rp < leftWidth && lp >= leftWidth:
-			return rp, lp - leftWidth, true
-		}
-	}
-	return 0, 0, false
-}

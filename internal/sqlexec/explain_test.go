@@ -54,6 +54,15 @@ func TestExplainAccessPaths(t *testing.T) {
 	if !hasLine(plan, "index access (1 candidate rows)") {
 		t.Fatalf("pk plan: %v", plan)
 	}
+	// The index answers that equality exactly: no WHERE re-check. A second
+	// conjunct needs one.
+	if hasLine(plan, "filter: WHERE re-checked per row") {
+		t.Fatalf("exact pk plan re-checks WHERE: %v", plan)
+	}
+	plan = explainPlan(t, db, "SELECT name FROM trial WHERE id = 3 AND time > 0")
+	if !hasLine(plan, "index access (1 candidate rows)") || !hasLine(plan, "filter: WHERE re-checked per row") {
+		t.Fatalf("pk plan with a residual conjunct: %v", plan)
+	}
 	// No usable predicate → full scan.
 	plan = explainPlan(t, db, "SELECT name FROM trial WHERE time > 5.0")
 	if !hasLine(plan, "full scan") {

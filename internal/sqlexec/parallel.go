@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -18,9 +17,9 @@ type Options struct {
 	// partitioned scans and partial aggregation. 0 (the zero value) means
 	// DefaultWorkers(); 1 runs every part inline on the calling goroutine.
 	Workers int
-	// Plan, when non-nil, is a reusable handle that memoizes the
-	// access-path decision across executions of the same statement (see
-	// Plan). It must belong to the calling goroutine.
+	// Plan, when non-nil, is a reusable handle that caches the compiled
+	// program and the access-path decision across executions of the same
+	// statement (see Plan). It must belong to the calling goroutine.
 	Plan *Plan
 	// Stmt, when non-nil, is the statement's live accounting entry. The
 	// executor updates its row/worker counters and polls its cancellation
@@ -63,7 +62,7 @@ const partsPerWorker = 4
 
 // QueryOpts is Query with explicit execution options and an optional span.
 func QueryOpts(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value, sp *obs.Span, opts Options) (*ResultSet, error) {
-	q := &query{tx: tx, st: st, params: params, cols: newColmap(), sp: sp, opts: opts}
+	q := &query{tx: tx, st: st, params: params, sp: sp, opts: opts}
 	return q.run()
 }
 
@@ -146,7 +145,7 @@ func (q *query) fanOut(workers int) {
 // buffers; buffers are concatenated in partition order, so the result is
 // byte-identical at every worker count. One worker scans the whole table
 // inline as a single partition.
-func (q *query) scanFilter(table string, where sqlparse.Expr, workers int) ([]reldb.Row, error) {
+func (q *query) scanFilter(table string, where *program, workers int) ([]reldb.Row, error) {
 	type part struct {
 		rows    []reldb.Row
 		kept    []reldb.Row
@@ -157,7 +156,7 @@ func (q *query) scanFilter(table string, where sqlparse.Expr, workers int) ([]re
 		nparts = workers * partsPerWorker
 	}
 	var parts []*part
-	q.tx.ScanPartitioned(table, nparts, func(_, _ int, rows []reldb.Row) { //nolint:errcheck // table verified by bind
+	q.tx.ScanPartitioned(table, nparts, func(_, _ int, rows []reldb.Row) { //nolint:errcheck // table verified by compile
 		parts = append(parts, &part{rows: rows})
 	})
 	if workers > len(parts) {
@@ -170,7 +169,7 @@ func (q *query) scanFilter(table string, where sqlparse.Expr, workers int) ([]re
 	}
 	stmt := q.opts.Stmt
 	err := runParts(len(parts), workers, stmt, func() func(int) error {
-		ev := &env{cols: q.cols, params: q.params, tx: q.tx, serial: workers > 1}
+		f := q.frame(workers > 1)
 		return func(i int) error {
 			p := parts[i]
 			for _, row := range p.rows {
@@ -187,8 +186,8 @@ func (q *query) scanFilter(table string, where sqlparse.Expr, workers int) ([]re
 					}
 				}
 				if where != nil {
-					ev.row = row
-					v, err := eval(where, ev)
+					f.row = row
+					v, err := where.eval(f)
 					if err != nil {
 						return err
 					}
@@ -243,12 +242,12 @@ type distinctVals struct {
 	keys []string
 }
 
-// newPartials returns fresh partial states for aggNodes, in order.
-func newPartials(aggNodes []*sqlparse.FuncCall) []aggPartial {
-	parts := make([]aggPartial, len(aggNodes))
-	for i, node := range aggNodes {
+// newPartials returns fresh partial states for aggs, in order.
+func newPartials(aggs []aggCall) []aggPartial {
+	parts := make([]aggPartial, len(aggs))
+	for i, a := range aggs {
 		parts[i].allInt = true
-		if node.Distinct {
+		if a.distinct {
 			parts[i].dist = &distinctVals{seen: make(map[string]struct{})}
 		}
 	}
@@ -361,34 +360,12 @@ type aggChunk struct {
 	order  []*chunkGroup // discovery order within the chunk
 }
 
-// aggNodes returns the aggregate calls referenced anywhere in the output,
-// HAVING or ORDER BY, rejecting malformed calls before any row is read.
-func (q *query) aggNodes(items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) ([]*sqlparse.FuncCall, error) {
-	var nodes []*sqlparse.FuncCall
-	for _, item := range items {
-		nodes = append(nodes, collectAggs(item.Expr)...)
-	}
-	nodes = append(nodes, collectAggs(q.st.Having)...)
-	for _, e := range orderExprs {
-		nodes = append(nodes, collectAggs(e)...)
-	}
-	for _, node := range nodes {
-		if node.Star && node.Name != "COUNT" {
-			return nil, fmt.Errorf("sqlexec: %s(*) is not valid", node.Name)
-		}
-		if !node.Star && len(node.Args) != 1 {
-			return nil, fmt.Errorf("sqlexec: %s expects one argument", node.Name)
-		}
-	}
-	return nodes, nil
-}
-
 // foldChunk folds one chunk of input rows into per-group partial states.
-func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall, ev *env) (*aggChunk, error) {
-	st := q.st
+func (q *query) foldChunk(rows []reldb.Row, f *frame) (*aggChunk, error) {
+	c := q.prog
 	stmt := q.opts.Stmt
 	ck := &aggChunk{groups: make(map[string]*chunkGroup)}
-	kv := make([]reldb.Value, len(st.GroupBy))
+	kv := make([]reldb.Value, len(c.groupBy))
 	for n, row := range rows {
 		// Poll cancellation inside the fold too: once every chunk has been
 		// claimed, the pool's claim-time check can no longer observe a
@@ -398,30 +375,26 @@ func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall, ev *e
 				return nil, err
 			}
 		}
-		ev.row = row
+		f.row = row
 		key := ""
-		if len(st.GroupBy) > 0 {
-			for i, e := range st.GroupBy {
-				v, err := eval(e, ev)
-				if err != nil {
-					return nil, err
-				}
-				kv[i] = v
+		if len(c.groupBy) > 0 {
+			if err := evalAll(kv, c.groupBy, f); err != nil {
+				return nil, err
 			}
 			key = keyOf(kv)
 		}
 		g := ck.groups[key]
 		if g == nil {
-			g = &chunkGroup{key: key, first: row, parts: newPartials(aggNodes)}
+			g = &chunkGroup{key: key, first: row, parts: newPartials(c.aggs)}
 			ck.groups[key] = g
 			ck.order = append(ck.order, g)
 		}
-		for i, node := range aggNodes {
-			if node.Star {
+		for i, a := range c.aggs {
+			if a.star {
 				g.parts[i].count++
 				continue
 			}
-			v, err := eval(node.Args[0], ev)
+			v, err := a.arg.eval(f)
 			if err != nil {
 				return nil, err
 			}
@@ -434,42 +407,43 @@ func (q *query) foldChunk(rows []reldb.Row, aggNodes []*sqlparse.FuncCall, ev *e
 	return ck, nil
 }
 
-// aggregate groups rows and evaluates the aggregate items per group. The
-// input is split into fixed-size chunks, chunks are folded (concurrently
-// when there are several and workers>1) into per-group partial states, and
-// partials are merged single-threaded in chunk order. HAVING, output items
-// and ORDER BY keys are then evaluated per merged group.
-func (q *query) aggregate(rows []reldb.Row, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) ([][]reldb.Value, [][]reldb.Value, error) {
-	aggNodes, err := q.aggNodes(items, orderExprs)
-	if err != nil {
-		return nil, nil, err
-	}
-	nchunks := (len(rows) + aggChunkRows - 1) / aggChunkRows
-	chunks := make([]*aggChunk, nchunks)
-	workers := min(q.opts.effectiveWorkers(), nchunks)
-	if workers > 1 {
+// aggregate groups rows and evaluates the aggregate items per group (see
+// foldGroups).
+func (q *query) aggregate(rows []reldb.Row) ([][]reldb.Value, [][]reldb.Value, error) {
+	workers := q.opts.effectiveWorkers()
+	if workers > 1 && len(rows) > aggChunkRows {
 		mParallelAggs.Inc()
+	}
+	return q.foldGroups(len(rows), workers, func(parallel bool) func(lo, hi int) (*aggChunk, error) {
+		f := q.frame(parallel)
+		return func(lo, hi int) (*aggChunk, error) { return q.foldChunk(rows[lo:hi], f) }
+	})
+}
+
+// foldGroups is the one grouping pipeline behind the row and columnar
+// paths. The n input rows are split into fixed-size chunks, chunks are
+// folded (concurrently when there are several and workers>1) into
+// per-group partial states, and partials are merged single-threaded in
+// chunk order, then finalized. worker runs once per worker goroutine, told
+// whether others run beside it, and returns its chunk fold.
+func (q *query) foldGroups(n, workers int, worker func(parallel bool) func(lo, hi int) (*aggChunk, error)) ([][]reldb.Value, [][]reldb.Value, error) {
+	chunks := make([]*aggChunk, (n+aggChunkRows-1)/aggChunkRows)
+	if workers = min(workers, len(chunks)); workers > 1 {
 		q.fanOut(workers)
 	}
-	err = runParts(nchunks, workers, q.opts.Stmt, func() func(int) error {
-		ev := &env{cols: q.cols, params: q.params, tx: q.tx, serial: workers > 1}
+	err := runParts(len(chunks), workers, q.opts.Stmt, func() func(int) error {
+		fold := worker(workers > 1)
 		return func(i int) error {
-			lo, hi := chunkBounds(i, len(rows))
+			lo := i * aggChunkRows
 			var err error
-			chunks[i], err = q.foldChunk(rows[lo:hi], aggNodes, ev)
+			chunks[i], err = fold(lo, min(lo+aggChunkRows, n))
 			return err
 		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return q.finalizeGroups(mergeChunks(chunks), items, orderExprs, aggNodes)
-}
-
-// chunkBounds returns chunk i's [lo,hi) range over an input of n rows.
-func chunkBounds(i, n int) (int, int) {
-	lo := i * aggChunkRows
-	return lo, min(lo+aggChunkRows, n)
+	return q.finalizeGroups(mergeChunks(chunks))
 }
 
 // mergeChunks merges per-chunk group partials in chunk order: group
@@ -498,21 +472,22 @@ func mergeChunks(chunks []*aggChunk) []*chunkGroup {
 // per merged group, with each group's first input row as the non-aggregate
 // environment. Without GROUP BY there is always exactly one group: over
 // zero input rows it is the global group with an all-NULL row.
-func (q *query) finalizeGroups(order []*chunkGroup, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr, aggNodes []*sqlparse.FuncCall) ([][]reldb.Value, [][]reldb.Value, error) {
-	st := q.st
-	if len(st.GroupBy) == 0 && len(order) == 0 {
-		order = []*chunkGroup{{first: make(reldb.Row, q.cols.width), parts: newPartials(aggNodes)}}
+func (q *query) finalizeGroups(order []*chunkGroup) ([][]reldb.Value, [][]reldb.Value, error) {
+	c := q.prog
+	if len(c.groupBy) == 0 && len(order) == 0 {
+		order = []*chunkGroup{{first: make(reldb.Row, c.width), parts: newPartials(c.aggs)}}
 	}
-	var out [][]reldb.Value
-	var keys [][]reldb.Value
+	f := q.frame(false)
+	f.aggs = make([]reldb.Value, len(c.aggs))
+	recs, keys := newRecords(len(order), len(c.items)), newRecords(len(order), len(c.order))
+	n := 0
 	for _, g := range order {
-		aggVals := make(map[*sqlparse.FuncCall]reldb.Value, len(aggNodes))
-		for i, node := range aggNodes {
-			aggVals[node] = g.parts[i].finish(node.Name)
+		for i, a := range c.aggs {
+			f.aggs[i] = g.parts[i].finish(a.name)
 		}
-		gev := &env{cols: q.cols, params: q.params, agg: aggVals, tx: q.tx, row: g.first}
-		if st.Having != nil {
-			v, err := eval(st.Having, gev)
+		f.row = g.first
+		if c.having != nil {
+			v, err := c.having.eval(f)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -520,26 +495,18 @@ func (q *query) finalizeGroups(order []*chunkGroup, items []sqlparse.SelectItem,
 				continue
 			}
 		}
-		rec := make([]reldb.Value, len(items))
-		for i, item := range items {
-			v, err := eval(item.Expr, gev)
-			if err != nil {
+		if err := evalAll(recs[n], c.items, f); err != nil {
+			return nil, nil, err
+		}
+		if keys != nil {
+			if err := evalAll(keys[n], c.order, f); err != nil {
 				return nil, nil, err
 			}
-			rec[i] = v
 		}
-		out = append(out, rec)
-		if len(orderExprs) > 0 {
-			k := make([]reldb.Value, len(orderExprs))
-			for i, e := range orderExprs {
-				v, err := eval(e, gev)
-				if err != nil {
-					return nil, nil, err
-				}
-				k[i] = v
-			}
-			keys = append(keys, k)
-		}
+		n++
 	}
-	return out, keys, nil
+	if keys != nil {
+		keys = keys[:n]
+	}
+	return recs[:n], keys, nil
 }

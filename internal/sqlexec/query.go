@@ -29,8 +29,9 @@ type query struct {
 	tx      *reldb.Tx
 	st      *sqlparse.Select
 	params  []reldb.Value
-	cols    *colmap
-	fields  []field // ordered bound columns, for SELECT *
+	prog    *selectProg
+	plan    *Plan         // the attached plan, when it caches prog
+	derived [][]reldb.Row // derived tables' rows by table reference, when compiled here
 	sp      *obs.Span
 	opts    Options
 	scanned int64    // rows fetched from storage (base + join inputs)
@@ -41,62 +42,27 @@ type query struct {
 	// Columnar execution state (see columnar.go). When tryColumnarAggregate
 	// handles the query, scan, filter and aggregation are already done and
 	// the materialize section reuses the stashed results.
-	colDone  bool
-	colOut   [][]reldb.Value
-	colKeys  [][]reldb.Value
-	colItems []sqlparse.SelectItem
-	colNames []string
+	colDone bool
+	colOut  [][]reldb.Value
+	colKeys [][]reldb.Value
 }
 
-type field struct {
-	alias string // binding alias (lower-cased)
-	name  string // column name as declared
-	pos   int
-}
-
-// bind registers a table reference's columns. For derived tables it runs
-// the subquery, materializes the rows, and binds the result columns; for
-// virtual catalog tables (OBS_*) it materializes a snapshot the same way.
-// The materialized rows are returned (nil for base tables).
-func (q *query) bind(tr sqlparse.TableRef) ([]reldb.Row, error) {
-	alias := aliasOr(tr.Alias, tr.Table)
-	base := q.cols.width
+// refRows returns the rows of a derived or catalog table reference (ref 0
+// is FROM, i+1 is join i), or nil for a base table.
+func (q *query) refRows(ref int, tr sqlparse.TableRef) ([]reldb.Row, error) {
 	if tr.Sub != nil {
-		rs, err := Query(q.tx, tr.Sub, q.params)
-		if err != nil {
-			return nil, err
-		}
-		q.cols.bindNames(alias, rs.Cols)
-		for i, c := range rs.Cols {
-			q.fields = append(q.fields, field{alias: strings.ToLower(alias), name: c, pos: base + i})
-		}
-		rows := make([]reldb.Row, len(rs.Rows))
-		for i, r := range rs.Rows {
-			rows[i] = reldb.Row(r)
-		}
-		return rows, nil
+		return q.derived[ref], nil
 	}
 	if cat := catalogTable(tr.Table); cat != nil {
 		mCatalogQueries.Inc()
-		rows, err := cat.rows(q.tx)
-		if err != nil {
-			return nil, err
-		}
-		q.cols.bindNames(alias, cat.cols)
-		for i, c := range cat.cols {
-			q.fields = append(q.fields, field{alias: strings.ToLower(alias), name: c, pos: base + i})
-		}
-		return rows, nil
-	}
-	tbl, err := q.tx.Table(tr.Table)
-	if err != nil {
-		return nil, err
-	}
-	q.cols.bind(alias, tr.Table, tbl.Schema())
-	for i, c := range tbl.Schema().Columns {
-		q.fields = append(q.fields, field{alias: strings.ToLower(alias), name: c.Name, pos: base + i})
+		return cat.rows(q.tx)
 	}
 	return nil, nil
+}
+
+// frame returns a fresh evaluation frame for this execution.
+func (q *query) frame(serial bool) *frame {
+	return &frame{params: q.params, tx: q.tx, serial: serial}
 }
 
 // pollEvery is the executor's shared cancellation poll: every
@@ -127,11 +93,12 @@ func (q *query) run() (*ResultSet, error) {
 	if timed {
 		mark = now()
 	}
-	derived, err := q.bind(st.From)
-	if err != nil {
+	if err := q.compile(); err != nil {
 		return nil, err
 	}
+	c := q.prog
 	var rows []reldb.Row
+	var err error
 	whereDone := false // WHERE already folded into the scan
 	if st.From.Sub != nil || virtualRef(st.From) {
 		if timed {
@@ -144,19 +111,19 @@ func (q *query) run() (*ResultSet, error) {
 			mark = now()
 		}
 		stmt.SetPhase(PhaseExecute)
-		rows = derived
+		if rows, err = q.refRows(0, st.From); err != nil {
+			return nil, err
+		}
 		q.scanned += int64(len(rows))
 	} else {
-		// Base rows, using an index when the WHERE clause admits one. Index
-		// selection is only safe for predicates on the base table;
-		// predicates touching joined tables are re-checked by the full
-		// WHERE filter below, so over-selection is impossible — planAccess
-		// only narrows.
-		baseAlias := aliasOr(st.From.Alias, st.From.Table)
-		slots, scanned, err := q.resolveAccess(st.From.Table, baseAlias, len(st.Joins) > 0)
+		// Base rows, using an index when a WHERE conjunct on the base
+		// table admits one. planAccess only narrows: unless its answer is
+		// exact, the full WHERE filter re-checks every row below.
+		slots, dec, err := q.resolveAccess(st.From.Table)
 		if err != nil {
 			return nil, err
 		}
+		scanned := dec.kind == accessFullScan
 		if scanned {
 			mFullScan.Inc()
 		} else {
@@ -186,9 +153,9 @@ func (q *query) run() (*ResultSet, error) {
 			// Fused scan+filter. Workers fan out only over a large base
 			// table without joins; with joins WHERE runs after them.
 			workers := 1
-			var where sqlparse.Expr
+			var where *program
 			if len(st.Joins) == 0 {
-				where, whereDone = st.Where, true
+				where, whereDone = c.where, true
 				if q.liveRows(st.From.Table) >= parallelMinRows {
 					workers = q.opts.effectiveWorkers()
 				}
@@ -198,11 +165,18 @@ func (q *query) run() (*ResultSet, error) {
 				return nil, err
 			}
 		default:
+			// An exact index answer already is the WHERE result.
+			whereDone = dec.exact
+			tbl, err := q.tx.Table(st.From.Table)
+			if err != nil {
+				return nil, err
+			}
+			rows = make([]reldb.Row, 0, len(slots))
 			for _, slot := range slots {
 				if err := q.pollEvery(); err != nil {
 					return nil, err
 				}
-				if row := q.tx.Row(st.From.Table, slot); row != nil {
+				if row := tbl.RowAt(slot); row != nil {
 					rows = append(rows, row)
 				}
 			}
@@ -211,23 +185,23 @@ func (q *query) run() (*ResultSet, error) {
 	}
 
 	// Joins.
-	for _, join := range st.Joins {
-		rows, err = q.execJoin(rows, join)
+	for i := range st.Joins {
+		rows, err = q.execJoin(rows, i)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	// WHERE.
-	if st.Where != nil && !whereDone {
-		ev := &env{cols: q.cols, params: q.params, tx: q.tx}
+	if c.where != nil && !whereDone {
+		f := q.frame(false)
 		kept := rows[:0:0]
 		for _, row := range rows {
 			if err := q.pollEvery(); err != nil {
 				return nil, err
 			}
-			ev.row = row
-			v, err := eval(st.Where, ev)
+			f.row = row
+			v, err := c.where.eval(f)
 			if err != nil {
 				return nil, err
 			}
@@ -249,31 +223,16 @@ func (q *query) run() (*ResultSet, error) {
 		return nil, err
 	}
 
-	var items []sqlparse.SelectItem
-	var colNames []string
-	var out [][]reldb.Value
-	var sortKeys [][]reldb.Value
-	if q.colDone {
-		items, colNames = q.colItems, q.colNames
-		out, sortKeys = q.colOut, q.colKeys
-	} else {
-		var orderExprs []sqlparse.Expr
-		items, colNames, err = q.expandItems()
-		if err != nil {
-			return nil, err
-		}
-		orderExprs, err = q.resolveOrderBy(items)
-		if err != nil {
-			return nil, err
-		}
-		if q.isAggregate(items, orderExprs) {
-			out, sortKeys, err = q.aggregate(rows, items, orderExprs)
-		} else {
-			out, sortKeys, err = q.project(rows, items, orderExprs)
-		}
-		if err != nil {
-			return nil, err
-		}
+	out, sortKeys := q.colOut, q.colKeys
+	switch {
+	case q.colDone:
+	case c.grouped:
+		out, sortKeys, err = q.aggregate(rows)
+	default:
+		out, sortKeys, err = q.project(rows)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if st.Distinct {
@@ -309,11 +268,11 @@ func (q *query) run() (*ResultSet, error) {
 		q.sp.RowsScanned += q.scanned
 		q.sp.RowsReturned += int64(len(out))
 	}
-	return &ResultSet{Cols: colNames, Rows: out}, nil
+	return &ResultSet{Cols: c.names, Rows: out}, nil
 }
 
-// liveRows returns the base table's live row count (0 when missing; bind
-// has already verified the table exists).
+// liveRows returns the base table's live row count (0 when missing;
+// compile has already verified the table exists).
 func (q *query) liveRows(table string) int {
 	t, err := q.tx.Table(table)
 	if err != nil {
@@ -331,14 +290,14 @@ func (q *query) liveRows(table string) int {
 // a key every row is a candidate (nested-loop join). Candidates arrive in
 // slot order on every path, and the complete ON expression is evaluated on
 // each candidate pair.
-func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, error) {
-	leftWidth := q.cols.width
-	derived, err := q.bind(join.TableRef)
+func (q *query) execJoin(rows []reldb.Row, i int) ([]reldb.Row, error) {
+	join, jp := q.st.Joins[i], &q.prog.joins[i]
+	derived, err := q.refRows(i+1, join.TableRef)
 	if err != nil {
 		return nil, err
 	}
-	rightWidth := q.cols.width - leftWidth
-	leftPos, rightPos, keyed := findHashKey(q.cols, leftWidth, join.On)
+	leftWidth, width := jp.lo, jp.hi
+	leftPos, rightPos, keyed := jp.leftPos, jp.rightPos, jp.keyed
 	leftKey := func(l reldb.Row) reldb.Value {
 		if leftPos < len(l) {
 			return l[leftPos]
@@ -383,16 +342,16 @@ func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, err
 	}
 	q.joins = append(q.joins, joinKind(join)+" "+strategy+" "+describeRef(join.TableRef)+via)
 
-	ev := &env{cols: q.cols, params: q.params, tx: q.tx}
+	// The ON check evaluates each candidate pair in one scratch row; only
+	// emitted pairs get a row of their own.
+	f := q.frame(false)
+	scratch := make(reldb.Row, 0, width)
 	onMatch := func(l, r reldb.Row) (bool, error) {
-		if join.On == nil {
+		if jp.on == nil {
 			return true, nil
 		}
-		combined := make(reldb.Row, 0, leftWidth+rightWidth)
-		combined = append(combined, l...)
-		combined = append(combined, r...)
-		ev.row = combined
-		v, err := eval(join.On, ev)
+		f.row = append(append(scratch[:0], l...), r...)
+		v, err := jp.on.eval(f)
 		if err != nil {
 			return false, err
 		}
@@ -401,7 +360,7 @@ func (q *query) execJoin(rows []reldb.Row, join sqlparse.Join) ([]reldb.Row, err
 
 	var result []reldb.Row
 	emit := func(l, r reldb.Row) {
-		combined := make(reldb.Row, leftWidth+rightWidth)
+		combined := make(reldb.Row, width)
 		copy(combined, l)
 		if r != nil {
 			copy(combined[leftWidth:], r)
@@ -509,7 +468,7 @@ func (q *query) indexProbe(table string, rightPos int, leftKey func(reldb.Row) r
 func (q *query) scanAll(table string) ([]reldb.Row, error) {
 	var rows []reldb.Row
 	var scanErr error
-	q.tx.Scan(table, func(_ int, row reldb.Row) bool { //nolint:errcheck // table verified by bind
+	q.tx.Scan(table, func(_ int, row reldb.Row) bool { //nolint:errcheck // table verified by compile
 		if scanErr = q.pollEvery(); scanErr != nil {
 			return false
 		}
@@ -541,135 +500,6 @@ func joinKind(join sqlparse.Join) string {
 	return "inner"
 }
 
-// expandItems replaces * items with explicit column references and derives
-// output column names.
-func (q *query) expandItems() ([]sqlparse.SelectItem, []string, error) {
-	var items []sqlparse.SelectItem
-	var names []string
-	for _, item := range q.st.Items {
-		if !item.Star {
-			items = append(items, item)
-			names = append(names, itemName(item))
-			continue
-		}
-		want := strings.ToLower(item.Table)
-		found := false
-		for _, f := range q.fields {
-			if want != "" && f.alias != want {
-				continue
-			}
-			found = true
-			items = append(items, sqlparse.SelectItem{
-				Expr: &sqlparse.ColRef{Table: f.alias, Name: f.name},
-			})
-			names = append(names, f.name)
-		}
-		if !found {
-			return nil, nil, fmt.Errorf("sqlexec: %s.* matches no table", item.Table)
-		}
-	}
-	return items, names, nil
-}
-
-func itemName(item sqlparse.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	switch e := item.Expr.(type) {
-	case *sqlparse.ColRef:
-		return e.Name
-	case *sqlparse.FuncCall:
-		return strings.ToLower(e.Name)
-	}
-	return "expr"
-}
-
-// resolveOrderBy rewrites ORDER BY terms that reference output aliases or
-// positions into the underlying item expressions.
-func (q *query) resolveOrderBy(items []sqlparse.SelectItem) ([]sqlparse.Expr, error) {
-	var out []sqlparse.Expr
-	for _, ob := range q.st.OrderBy {
-		e := ob.Expr
-		switch x := e.(type) {
-		case *sqlparse.Literal:
-			if x.Value.T == reldb.TInt {
-				n := int(x.Value.I)
-				if n < 1 || n > len(items) {
-					return nil, fmt.Errorf("sqlexec: ORDER BY position %d out of range", n)
-				}
-				e = items[n-1].Expr
-			}
-		case *sqlparse.ColRef:
-			if x.Table == "" {
-				for _, item := range items {
-					if item.Alias != "" && strings.EqualFold(item.Alias, x.Name) {
-						e = item.Expr
-						break
-					}
-				}
-			}
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// isAggregate reports whether the query needs the grouped path.
-func (q *query) isAggregate(items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) bool {
-	if len(q.st.GroupBy) > 0 || q.st.Having != nil {
-		return true
-	}
-	for _, item := range items {
-		if len(collectAggs(item.Expr)) > 0 {
-			return true
-		}
-	}
-	for _, e := range orderExprs {
-		if len(collectAggs(e)) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// collectAggs returns the aggregate FuncCall nodes in an expression.
-func collectAggs(e sqlparse.Expr) []*sqlparse.FuncCall {
-	var out []*sqlparse.FuncCall
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		switch e := e.(type) {
-		case *sqlparse.FuncCall:
-			if isAggName(e.Name) {
-				out = append(out, e)
-				return // aggregates cannot nest
-			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *sqlparse.Binary:
-			walk(e.L)
-			walk(e.R)
-		case *sqlparse.Unary:
-			walk(e.X)
-		case *sqlparse.InList:
-			walk(e.X)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *sqlparse.IsNull:
-			walk(e.X)
-		case *sqlparse.Between:
-			walk(e.X)
-			walk(e.Lo)
-			walk(e.Hi)
-		}
-	}
-	if e != nil {
-		walk(e)
-	}
-	return out
-}
-
 func isAggName(name string) bool {
 	switch name {
 	case "COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV":
@@ -698,42 +528,41 @@ func keyOf(vals []reldb.Value) string {
 	return b.String()
 }
 
-// project evaluates items per row (the non-aggregate path), also computing
-// the ORDER BY sort keys.
-func (q *query) project(rows []reldb.Row, items []sqlparse.SelectItem, orderExprs []sqlparse.Expr) ([][]reldb.Value, [][]reldb.Value, error) {
-	ev := &env{cols: q.cols, params: q.params, tx: q.tx}
-	out := make([][]reldb.Value, 0, len(rows))
-	var keys [][]reldb.Value
-	if len(orderExprs) > 0 {
-		keys = make([][]reldb.Value, 0, len(rows))
-	}
-	for _, row := range rows {
+// project evaluates the output items per row (the non-aggregate path),
+// also computing the ORDER BY sort keys.
+func (q *query) project(rows []reldb.Row) ([][]reldb.Value, [][]reldb.Value, error) {
+	c := q.prog
+	f := q.frame(false)
+	out, keys := newRecords(len(rows), len(c.items)), newRecords(len(rows), len(c.order))
+	for i, row := range rows {
 		if err := q.pollEvery(); err != nil {
 			return nil, nil, err
 		}
-		ev.row = row
-		rec := make([]reldb.Value, len(items))
-		for i, item := range items {
-			v, err := eval(item.Expr, ev)
-			if err != nil {
+		f.row = row
+		if err := evalAll(out[i], c.items, f); err != nil {
+			return nil, nil, err
+		}
+		if keys != nil {
+			if err := evalAll(keys[i], c.order, f); err != nil {
 				return nil, nil, err
 			}
-			rec[i] = v
-		}
-		out = append(out, rec)
-		if keys != nil {
-			k := make([]reldb.Value, len(orderExprs))
-			for i, e := range orderExprs {
-				v, err := eval(e, ev)
-				if err != nil {
-					return nil, nil, err
-				}
-				k[i] = v
-			}
-			keys = append(keys, k)
 		}
 	}
 	return out, keys, nil
+}
+
+// newRecords returns n records of width values each, sliced from one
+// backing array, or nil when width is 0.
+func newRecords(n, width int) [][]reldb.Value {
+	if width == 0 {
+		return nil
+	}
+	vals := make([]reldb.Value, n*width)
+	recs := make([][]reldb.Value, n)
+	for i := range recs {
+		recs[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
+	return recs
 }
 
 func distinct(rows, keys [][]reldb.Value) ([][]reldb.Value, [][]reldb.Value) {
@@ -781,10 +610,9 @@ func orderRows(rows, keys [][]reldb.Value, spec []sqlparse.OrderItem) [][]reldb.
 }
 
 func (q *query) applyLimit(rows [][]reldb.Value) ([][]reldb.Value, error) {
-	st := q.st
-	ev := &env{cols: newColmap(), params: q.params, tx: q.tx}
-	if st.Offset != nil {
-		v, err := eval(st.Offset, ev)
+	f := q.frame(false)
+	if q.prog.offset != nil {
+		v, err := q.prog.offset.eval(f)
 		if err != nil {
 			return nil, err
 		}
@@ -798,8 +626,8 @@ func (q *query) applyLimit(rows [][]reldb.Value) ([][]reldb.Value, error) {
 			rows = rows[off:]
 		}
 	}
-	if st.Limit != nil {
-		v, err := eval(st.Limit, ev)
+	if q.prog.limit != nil {
+		v, err := q.prog.limit.eval(f)
 		if err != nil {
 			return nil, err
 		}
