@@ -92,7 +92,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1LargeTrial(Load|Upload)/threads-512$$' -benchtime 1x -benchmem .
 
 # Boot `perfdmf serve` on an ephemeral port, scrape /healthz and /metrics,
-# and assert both respond. Exercises the real binary end to end.
+# and assert both respond, that /healthz carries the telemetry block, and
+# that the catalog-backed /statements and /alerts parse as JSON.
+# Exercises the real binary end to end.
 serve-smoke:
 	$(GO) build -o bin/perfdmf ./cmd/perfdmf
 	@rm -f bin/serve-smoke.log
@@ -106,7 +108,11 @@ serve-smoke:
 	done; \
 	if [ -z "$$addr" ]; then echo "serve-smoke: server never came up"; cat bin/serve-smoke.log; kill $$pid 2>/dev/null; exit 1; fi; \
 	ok=0; \
-	curl -fsS "http://$$addr/healthz" > /dev/null && \
+	curl -fsS "http://$$addr/healthz" > bin/serve-smoke.healthz && \
+	grep -q '"telemetry_queue_depth"' bin/serve-smoke.healthz && \
+	curl -fsS "http://$$addr/statements" | python3 -m json.tool > /dev/null && \
+	curl -fsS "http://$$addr/alerts" | python3 -m json.tool > bin/serve-smoke.alerts && \
+	grep -q '"alerts"' bin/serve-smoke.alerts && \
 	curl -fsS "http://$$addr/metrics" > bin/serve-smoke.metrics && \
 	grep -q '^go_goroutines ' bin/serve-smoke.metrics && \
 	grep -q '^godbc_conns_opened_total ' bin/serve-smoke.metrics && ok=1; \

@@ -138,18 +138,22 @@ func cmdAlertsEval(args []string) error {
 		return err
 	}
 	time.Sleep(*settle)
-	alerts, _ := godbc.AlertsState()
-	if err := stop(); err != nil {
+	// Read the states before stop: its final scrape evaluates once more.
+	alerts, err := godbc.QueryCatalog(`SELECT rule_name, metric, severity, state, value FROM OBS_ALERT_STATES`)
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil {
 		return err
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "RULE\tMETRIC\tSEVERITY\tSTATE\tVALUE")
 	firing := 0
 	for _, a := range alerts {
-		if a.State == obs.AlertStateFiring {
+		if a["state"] == obs.AlertStateFiring {
 			firing++
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.4g\n", a.RuleName, a.Metric, a.Severity, a.State, a.Value)
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.4g\n", a["rule_name"], a["metric"], a["severity"], a["state"], a["value"])
 	}
 	w.Flush()
 	fmt.Printf("(%d rules, %d firing)\n", len(alerts), firing)

@@ -219,13 +219,17 @@ func cmdLoad(args []string) error {
 		}
 		// The pipeline has drained: report what it kept, shed, and pruned
 		// so scripted callers (make telemetry-smoke) can assert on it.
-		if st, ok := godbc.TelemetryState(); ok {
-			fmt.Printf("telemetry: stored=%d sampled_out=%d dropped=%d pruned_spans=%d pruned_slowlog=%d sample_rate=%.3f\n",
-				st.Stored, st.SampledOut, st.Dropped, st.PrunedSpans, st.PrunedSlowLog, st.SampleRate)
-			if st.HistoryEnabled {
-				fmt.Printf("history: samples=%d rules=%d pending=%d firing=%d\n",
-					obs.DefaultHistory.TotalSamples(), st.AlertRules, st.AlertsPending, st.AlertsFiring)
-			}
+		tel, err := godbc.QueryCatalog(`SELECT stored, sampled_out, dropped, pruned_spans, pruned_slowlog,
+			sample_rate, history_enabled, alert_rules, alerts_pending, alerts_firing FROM OBS_TELEMETRY`)
+		if err != nil {
+			return err
+		}
+		t := tel[0]
+		fmt.Printf("telemetry: stored=%d sampled_out=%d dropped=%d pruned_spans=%d pruned_slowlog=%d sample_rate=%.3f\n",
+			t["stored"], t["sampled_out"], t["dropped"], t["pruned_spans"], t["pruned_slowlog"], t["sample_rate"])
+		if t["history_enabled"] == true {
+			fmt.Printf("history: samples=%d rules=%d pending=%d firing=%d\n",
+				obs.DefaultHistory.TotalSamples(), t["alert_rules"], t["alerts_pending"], t["alerts_firing"])
 		}
 	}
 	return nil

@@ -232,8 +232,9 @@ func t1Rep(p *model.Profile, mode t1Mode, res *T1Result) (int64, error) {
 			if seen := telemetrySeen() - before; seen > 0 {
 				res.EffectiveSampleRate = float64(res.SpansPersisted) / float64(seen)
 			}
-			if st, ok := godbc.TelemetryState(); ok {
-				res.FinalSampleRate = st.SampleRate
+			var tel []map[string]any
+			if tel, err = godbc.QueryCatalog("SELECT sample_rate FROM OBS_TELEMETRY"); err == nil {
+				res.FinalSampleRate, _ = tel[0]["sample_rate"].(float64)
 			}
 		}
 	}

@@ -51,14 +51,17 @@ func TestCatalogTablesSelectable(t *testing.T) {
 			"governor_adjustments", "queue_depth", "queue_capacity",
 			"offered", "sampled_out", "dropped", "stored", "store_errors",
 			"group_commits", "pruned_spans", "pruned_slowlog",
-			"retain_rows", "retain_age_sec", "last_flush_age_sec"},
+			"retain_rows", "retain_age_sec", "last_flush_age_sec",
+			"history_enabled", "last_scrape_age_ms", "alert_rules", "alerts_pending", "alerts_firing"},
+		"OBS_ALERT_STATES": {"rule_id", "rule_name", "metric", "severity", "state",
+			"since", "value", "episode_id"},
 		"OBS_METRICS_HISTORY": {"at", "elapsed_us", "name", "kind", "value",
 			"delta_count", "delta_sum", "p50", "p95", "p99"},
 		"OBS_ALERTS": {"alert_id", "rule_id", "rule_name", "metric", "severity",
 			"state", "value", "threshold", "detail", "pending_at", "firing_at", "resolved_at"},
 	}
 	for _, table := range []string{"OBS_METRICS", "OBS_ACTIVE_STATEMENTS", "OBS_PLAN_CACHE",
-		"OBS_TABLE_STATS", "OBS_TELEMETRY", "OBS_METRICS_HISTORY", "OBS_ALERTS"} {
+		"OBS_TABLE_STATS", "OBS_TELEMETRY", "OBS_ALERT_STATES", "OBS_METRICS_HISTORY", "OBS_ALERTS"} {
 		cols, _ := collect(t, c, "SELECT * FROM "+table)
 		if strings.Join(cols, ",") != strings.Join(want[table], ",") {
 			t.Errorf("%s columns = %v, want %v", table, cols, want[table])
@@ -339,7 +342,7 @@ func TestKillLongRunningStatement(t *testing.T) {
 				break poll
 			default:
 			}
-			for _, si := range ActiveStatements() {
+			for _, si := range sqlexec.Statements.Snapshot() {
 				if si.SQL == victimSQL && si.RowsScanned > 0 {
 					id = si.ID
 					break poll

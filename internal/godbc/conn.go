@@ -21,9 +21,9 @@ type conn struct {
 	id          int64     // registry id, assigned at open (see admin.go)
 	tx          *reldb.Tx // open explicit transaction, or nil
 	closed      bool
-	quiet       bool // never count or trace statements (the telemetry
-	// store's own connection, so its INSERTs cannot trace themselves back
-	// into the sink)
+	quiet       bool // never count, trace or register statements (the
+	// telemetry store's connection, so its INSERTs cannot trace themselves
+	// back into the sink, and QueryCatalog's)
 	relaxed bool // commit with relaxed durability (batched WAL fsync);
 	// only the telemetry writer sets this — span batches must not pay, or
 	// charge the workload, one fsync per group commit
@@ -120,7 +120,7 @@ func (c *conn) exec(src string, e *cacheEntry, args []any) (Result, error) {
 	if !c.quiet {
 		mExecTotal.Inc()
 	}
-	entry := sqlexec.Statements.Begin(src, "exec")
+	entry := c.register(src, "exec")
 	defer entry.Finish()
 	sp := c.startSpan("exec", src, len(args))
 	e, err := c.parsed(src, e, sp)
@@ -136,6 +136,17 @@ func (c *conn) exec(src string, e *cacheEntry, args []any) (Result, error) {
 		return Result{}, err
 	}
 	return Result(res), nil
+}
+
+// register enters a statement into the live statement registry behind
+// OBS_ACTIVE_STATEMENTS and KILL. A quiet connection's statements stay out
+// (nil entry): they observe the engine and must not appear in what they
+// observe.
+func (c *conn) register(src, kind string) *sqlexec.StmtEntry {
+	if c.quiet {
+		return nil
+	}
+	return sqlexec.Statements.Begin(src, kind)
 }
 
 func (c *conn) execParsed(st sqlparse.Statement, params []reldb.Value, entry *sqlexec.StmtEntry) (sqlexec.Result, error) {
@@ -181,7 +192,7 @@ func (c *conn) query(src string, e *cacheEntry, args []any) (Rows, error) {
 		mQueryTotal.Inc()
 	}
 	start := time.Now()
-	entry := sqlexec.Statements.Begin(src, "query")
+	entry := c.register(src, "query")
 	defer entry.Finish()
 	sp := c.startSpan("query", src, len(args))
 	e, err := c.parsed(src, e, sp)
@@ -320,8 +331,10 @@ func (c *conn) Close() error {
 		c.tx = nil
 	}
 	c.closed = true
-	unregisterConn(c)
-	mConnsClosed.Inc()
+	if c.id != 0 { // QueryCatalog's connections are never registered
+		unregisterConn(c)
+		mConnsClosed.Inc()
+	}
 	if c.release != nil {
 		return c.release()
 	}

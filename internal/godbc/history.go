@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"perfdmf/internal/obs"
+	"perfdmf/internal/reldb"
 	"perfdmf/internal/sqlexec"
 )
 
@@ -246,80 +247,54 @@ func (ts *TelemetryStore) scrapeTick(now time.Time) {
 	ts.lastScrapeNS.Store(now.UnixNano())
 }
 
-// persistSample mirrors one scrape into PERFDMF_METRICS_HISTORY. Like span
-// group commits it never waits for the engine's write lock: a stall sheds
-// the sample from the table (the in-memory ring still has it) and reports
-// to the governor.
+// persistSample mirrors one scrape into PERFDMF_METRICS_HISTORY through
+// writeTx. A stalled write lock sheds the sample from the table (the
+// in-memory ring still has it).
 func (ts *TelemetryStore) persistSample(s obs.HistorySample) {
 	if len(s.Points) == 0 {
 		return
 	}
-	start := time.Now()
-	ok, err := ts.conn.TryBegin()
-	if err == nil && !ok {
+	ran, err := ts.writeTx(false, func() error {
+		for _, p := range s.Points {
+			var deltaCount, deltaSum, p50, p95, p99 any
+			if p.Kind == "histogram" {
+				deltaCount, deltaSum = p.DeltaCount, p.DeltaSum
+				p50, p95, p99 = p.P50, p.P95, p.P99
+			}
+			if _, err := ts.insHist.Exec(s.At, s.Elapsed.Microseconds(), p.Name, p.Kind,
+				p.Value, deltaCount, deltaSum, p50, p95, p99); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	switch {
+	case !ran:
 		mHistPersistStalls.Inc()
-		ts.gov.ReportStall()
-		return
-	}
-	if err != nil {
-		mTelWriterErrors.Inc()
-		return
-	}
-	for _, p := range s.Points {
-		var deltaCount, deltaSum, p50, p95, p99 any
-		if p.Kind == "histogram" {
-			deltaCount, deltaSum = p.DeltaCount, p.DeltaSum
-			p50, p95, p99 = p.P50, p.P95, p.P99
-		}
-		if _, err := ts.insHist.Exec(s.At, s.Elapsed.Microseconds(), p.Name, p.Kind,
-			p.Value, deltaCount, deltaSum, p50, p95, p99); err != nil {
-			ts.conn.Rollback() //nolint:errcheck
-			mTelWriterErrors.Inc()
-			ts.gov.ReportWrite(time.Since(start))
-			return
-		}
-	}
-	if err := ts.conn.Commit(); err != nil {
-		mTelWriterErrors.Inc()
-	} else {
+	case err == nil:
 		mHistPersistedPoints.Add(int64(len(s.Points)))
 	}
-	ts.gov.ReportWrite(time.Since(start))
 }
 
 // persistTransitions applies the queued episode transitions in one
-// transaction. A stalled write lock leaves them queued for the next tick —
-// transitions carry their own timestamps, so deferred persistence does not
-// distort the episode timeline.
+// transaction through writeTx. A stalled write lock leaves them queued for
+// the next tick — transitions carry their own timestamps, so deferred
+// persistence does not distort the episode timeline.
 func (ts *TelemetryStore) persistTransitions() {
 	if len(ts.pendingTrans) == 0 {
 		return
 	}
-	start := time.Now()
-	ok, err := ts.conn.TryBegin()
-	if err == nil && !ok {
-		ts.gov.ReportStall()
-		return
-	}
-	if err != nil {
-		mTelWriterErrors.Inc()
-		ts.pendingTrans = nil
-		return
-	}
-	for i := range ts.pendingTrans {
-		if err := ts.applyTransitionTx(&ts.pendingTrans[i]); err != nil {
-			ts.conn.Rollback() //nolint:errcheck
-			mTelWriterErrors.Inc()
-			ts.pendingTrans = nil
-			ts.gov.ReportWrite(time.Since(start))
-			return
+	ran, _ := ts.writeTx(false, func() error {
+		for i := range ts.pendingTrans {
+			if err := ts.applyTransitionTx(&ts.pendingTrans[i]); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if ran {
+		ts.pendingTrans = ts.pendingTrans[:0]
 	}
-	if err := ts.conn.Commit(); err != nil {
-		mTelWriterErrors.Inc()
-	}
-	ts.pendingTrans = ts.pendingTrans[:0]
-	ts.gov.ReportWrite(time.Since(start))
 }
 
 // applyTransitionTx persists one transition inside the open transaction:
@@ -433,32 +408,33 @@ func (ts *TelemetryStore) pruneHistoryRows() {
 	mHistPrunedRows.Add(res.RowsAffected)
 }
 
-// LastScrape returns when the scrape loop last ran, zero before the first
-// scrape (or with history disabled).
-func (ts *TelemetryStore) LastScrape() time.Time {
-	ns := ts.lastScrapeNS.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
+// alertStateCols are OBS_ALERT_STATES's columns.
+var alertStateCols = []string{"rule_id", "rule_name", "metric", "severity", "state",
+	"since", "value", "episode_id"}
 
-// AlertsSnapshot reports every rule's live evaluation state, nil when the
-// continuous layer is off.
-func (ts *TelemetryStore) AlertsSnapshot() []obs.AlertStatus {
-	if ts.alerts == nil {
-		return nil
-	}
-	return ts.alerts.Snapshot()
-}
-
-// AlertsState snapshots the most recent pipeline's alert evaluation, for
-// the /alerts endpoint. ok is false when no pipeline with history enabled
-// has run in this process.
-func AlertsState() ([]obs.AlertStatus, bool) {
+// alertStateRows is OBS_ALERT_STATES: every alert rule's live evaluation
+// state in the most recent history-enabled pipeline, sorted by rule id, and
+// no rows when none has run in this process. state is ok, pending or
+// firing; since (when the state was entered) is NULL for ok, and
+// episode_id (the PERFDMF_ALERTS row of the open episode) NULL without
+// one. OBS_ALERTS is the persisted history of the same episodes.
+func alertStateRows(*reldb.Tx) ([]reldb.Row, error) {
 	p := activeTelemetry.Load()
 	if p == nil || p.store.alerts == nil {
-		return nil, false
+		return nil, nil
 	}
-	return p.store.AlertsSnapshot(), true
+	snap := p.store.alerts.Snapshot()
+	rows := make([]reldb.Row, len(snap))
+	for i, a := range snap {
+		since, episode := reldb.Null, reldb.Null
+		if !a.Since.IsZero() {
+			since = reldb.Time(a.Since)
+		}
+		if a.EpisodeID != 0 {
+			episode = reldb.Int(a.EpisodeID)
+		}
+		rows[i] = reldb.Row{reldb.Int(a.RuleID), reldb.Str(a.RuleName), reldb.Str(a.Metric),
+			reldb.Str(a.Severity), reldb.Str(a.State), since, reldb.Float(a.Value), episode}
+	}
+	return rows, nil
 }

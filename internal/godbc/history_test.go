@@ -2,6 +2,7 @@ package godbc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,13 +173,13 @@ func TestContinuousObservabilityEndToEnd(t *testing.T) {
 		t.Fatal("no godbc_exec_total history persisted")
 	}
 
-	// Store-level surface: LastScrape is fresh, the snapshot knows the rule.
-	if st.LastScrape().IsZero() {
-		t.Fatal("LastScrape still zero after scraping")
+	// Store-level state: the scrape time is set, the snapshot knows the rule.
+	if st.lastScrapeNS.Load() == 0 {
+		t.Fatal("last scrape time still zero after scraping")
 	}
-	snap := st.AlertsSnapshot()
+	snap := st.alerts.Snapshot()
 	if len(snap) != 1 || snap[0].RuleName != "exec-rate" {
-		t.Fatalf("AlertsSnapshot = %+v, want the one rule", snap)
+		t.Fatalf("alert snapshot = %+v, want the one rule", snap)
 	}
 }
 
@@ -235,5 +236,48 @@ func TestAlertEpisodeRestore(t *testing.T) {
 	}
 	if cnt != 1 {
 		t.Fatalf("PERFDMF_ALERTS has %d rows, want the 1 inherited episode", cnt)
+	}
+}
+
+// TestCatalogAlertStates: OBS_ALERT_STATES is empty before a
+// history-enabled pipeline runs, then lists every rule's live state: a
+// quiet rule stays ok with NULL since and episode, a breached one fires
+// with both set.
+func TestCatalogAlertStates(t *testing.T) {
+	dsn := freshMem(t)
+	c := openT(t, dsn)
+	prev := activeTelemetry.Swap(nil) // as if no pipeline had ever run
+	_, out := collect(t, c, "SELECT * FROM OBS_ALERT_STATES")
+	activeTelemetry.Store(prev)
+	if len(out) != 0 {
+		t.Fatalf("OBS_ALERT_STATES without a pipeline = %v, want no rows", out)
+	}
+
+	for _, r := range []obs.AlertRule{
+		{Name: "never", Metric: "godbc_exec_total", Op: "gt", Threshold: 1e15},
+		{Name: "always", Metric: "godbc_exec_total", Op: "gt", Threshold: -1, Severity: "critical"},
+	} {
+		if _, err := AddAlertRule(c, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, err := StartTelemetry(dsn, TelemetryOptions{HistoryEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop() //nolint:errcheck // best-effort cleanup
+	if !pollSQL(t, c, 10*time.Second, `SELECT COUNT(*) FROM OBS_ALERT_STATES
+		WHERE rule_name = 'always' AND state = 'firing' AND since IS NOT NULL AND episode_id IS NOT NULL`,
+		func(v any) bool { n, _ := v.(int64); return n == 1 }, nil) {
+		t.Fatal("the always-breached rule never fired in OBS_ALERT_STATES")
+	}
+	_, out = collect(t, c, `SELECT rule_name, severity, state, since, episode_id FROM OBS_ALERT_STATES
+		WHERE rule_name = 'never'`)
+	if len(out) != 1 || strings.Join(out[0], ",") != "never,warn,ok,<nil>,<nil>" {
+		t.Fatalf("quiet rule = %v", out)
+	}
+	_, out = collect(t, c, "SELECT alert_rules, alerts_firing FROM OBS_TELEMETRY")
+	if strings.Join(out[0], ",") != "2,1" {
+		t.Fatalf("OBS_TELEMETRY alert counts = %v, want 2 rules, 1 firing", out)
 	}
 }

@@ -101,16 +101,18 @@ func (sc *stmtCache) columnarHits() int64 {
 // additionally skips expression compilation and the executor's access-path
 // search while the schema versions hold (see sqlexec.Plan).
 func (c *conn) parseCached(query string) (*cacheEntry, error) {
-	if e := c.cache.lookup(query); e != nil {
-		sqlexec.PlanCacheHit()
+	e := c.cache.lookup(query)
+	if !c.quiet {
+		sqlexec.CountPlanCache(e != nil)
+	}
+	if e != nil {
 		return e, nil
 	}
-	sqlexec.PlanCacheMiss()
 	st, err := sqlparse.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	e := &cacheEntry{st: st}
+	e = &cacheEntry{st: st}
 	if sel, ok := st.(*sqlparse.Select); ok {
 		e.plan = sqlexec.NewPlan(sel)
 	}

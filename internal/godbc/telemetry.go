@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"perfdmf/internal/obs"
+	"perfdmf/internal/reldb"
 )
 
 // Telemetry table names, discoverable like any other table via MetaData().
@@ -423,7 +424,7 @@ func (ts *TelemetryStore) writer() {
 		case b := <-queue:
 			pending = append(pending, b...)
 			for len(pending) >= ts.opts.GroupSize {
-				if !ts.tryCommitGroup(pending[:ts.opts.GroupSize]) {
+				if ran, _ := ts.commitGroup(pending[:ts.opts.GroupSize], false); !ran {
 					break
 				}
 				pending = pending[ts.opts.GroupSize:]
@@ -434,7 +435,7 @@ func (ts *TelemetryStore) writer() {
 				if n > ts.opts.GroupSize {
 					n = ts.opts.GroupSize
 				}
-				if ts.tryCommitGroup(pending[:n]) {
+				if ran, _ := ts.commitGroup(pending[:n], false); ran {
 					pending = pending[n:]
 				}
 			}
@@ -446,10 +447,11 @@ func (ts *TelemetryStore) writer() {
 			// maxPending.
 			var err error
 			if len(pending) > 0 {
-				err = ts.commitGroup(pending)
+				_, err = ts.commitGroup(pending, true)
 			}
 			if drained := ts.drainQueue(nil, cap(ts.queue)); len(drained) > 0 {
-				err = errors.Join(err, ts.commitGroup(drained))
+				_, derr := ts.commitGroup(drained, true)
+				err = errors.Join(err, derr)
 			}
 			pending = nil
 			ack <- err
@@ -465,7 +467,7 @@ func (ts *TelemetryStore) writer() {
 			// honour the caps.
 			pending = ts.drainQueue(pending, math.MaxInt)
 			if len(pending) > 0 {
-				ts.commitGroup(pending) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
+				ts.commitGroup(pending, true) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
 			}
 			ts.scrapeTick(time.Now())
 			ts.prune()
@@ -487,57 +489,64 @@ func (ts *TelemetryStore) drainQueue(pending []obs.SinkEntry, max int) []obs.Sin
 	return pending
 }
 
-// commitGroup persists one group in a single relaxed-durability transaction
-// — blocking until the engine's write lock is free — and feeds the wall
-// time spent into the governor. The Flush barrier and the Close drain use
-// it; steady-state commits go through tryCommitGroup.
-func (ts *TelemetryStore) commitGroup(group []obs.SinkEntry) error {
+// writeTx is the telemetry writer's one write discipline: run write in a
+// single relaxed-durability transaction on the store's connection, commit
+// when it succeeds, roll back when it fails, and report the time spent to
+// the governor as telemetry write cost. Unless wait is set it never queues
+// behind the workload it measures: when another transaction holds the
+// engine's write lock it reports a governor stall and returns ran=false,
+// and the caller keeps its work to retry or shed under its own policy and
+// stall counter. Otherwise the work is consumed, failures included: an
+// error from Begin/TryBegin, write or Commit is counted in
+// obs_telemetry_writer_errors_total and returned, and the caller drops the
+// work — a failure that is not lock contention would only fail again.
+func (ts *TelemetryStore) writeTx(wait bool, write func() error) (ran bool, err error) {
 	start := time.Now()
-	err := ts.conn.Begin()
-	if err == nil {
-		err = ts.insertGroupTx(group)
+	ok := true
+	if wait {
+		err = ts.conn.Begin()
+	} else {
+		ok, err = ts.conn.TryBegin()
 	}
-	return ts.finishGroup(group, time.Since(start), err)
-}
-
-// tryCommitGroup is commitGroup without the wait: when the engine's write
-// lock is held it reports a stall to the governor and returns false with
-// the group left for the caller to retry. True means the group was consumed
-// — committed, or failed with the error counted.
-func (ts *TelemetryStore) tryCommitGroup(group []obs.SinkEntry) bool {
-	start := time.Now()
-	ok, err := ts.conn.TryBegin()
 	if err == nil && !ok {
-		mTelWriterStalls.Inc()
 		ts.gov.ReportStall()
-		return false
+		return false, nil
 	}
 	if err == nil {
-		err = ts.insertGroupTx(group)
+		if err = write(); err != nil {
+			ts.conn.Rollback() //nolint:errcheck // the write error is the one to report
+		} else {
+			err = ts.conn.Commit()
+		}
 	}
-	ts.finishGroup(group, time.Since(start), err) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
-	return true
-}
-
-// finishGroup settles one consumed group: governor feedback, queue
-// accounting, and the commit/error counters.
-func (ts *TelemetryStore) finishGroup(group []obs.SinkEntry, d time.Duration, err error) error {
-	ts.gov.ReportWrite(d)
-	ts.queued.Add(-int64(len(group)))
+	ts.gov.ReportWrite(time.Since(start))
 	if err != nil {
 		mTelWriterErrors.Inc()
-		return err
 	}
-	mTelGroupCommits.Inc()
-	mTelGroupCommitNS.Observe(int64(d))
-	mTelGroupRows.Observe(int64(len(group)))
-	return nil
+	return true, err
 }
 
-// insertGroupTx runs the group's inserts on the transaction the caller
-// already opened, committing on success and rolling back on the first
-// failed insert.
-func (ts *TelemetryStore) insertGroupTx(group []obs.SinkEntry) error {
+// commitGroup persists one group of sink entries through writeTx. The
+// Flush barrier and the Close drain wait for the write lock; steady-state
+// commits do not, and a stalled group (ran=false) counts in
+// obs_telemetry_writer_stalls_total and stays with the caller to retry.
+func (ts *TelemetryStore) commitGroup(group []obs.SinkEntry, wait bool) (ran bool, err error) {
+	start := time.Now()
+	if ran, err = ts.writeTx(wait, func() error { return ts.insertGroup(group) }); !ran {
+		mTelWriterStalls.Inc()
+		return false, nil
+	}
+	ts.queued.Add(-int64(len(group)))
+	if err == nil {
+		mTelGroupCommits.Inc()
+		mTelGroupCommitNS.Observe(int64(time.Since(start)))
+		mTelGroupRows.Observe(int64(len(group)))
+	}
+	return true, err
+}
+
+// insertGroup runs the group's inserts, stopping at the first failure.
+func (ts *TelemetryStore) insertGroup(group []obs.SinkEntry) error {
 	for _, e := range group {
 		sp := e.Span
 		stmt := sp.Label(telemetryStatementMax)
@@ -554,7 +563,6 @@ func (ts *TelemetryStore) insertGroupTx(group []obs.SinkEntry) error {
 			sp.Total.Microseconds(), sp.RowsScanned, sp.RowsReturned,
 			sp.IndexUsed, sp.PlanSummary, sp.Err,
 		); err != nil {
-			ts.conn.Rollback() //nolint:errcheck
 			return fmt.Errorf("godbc: telemetry insert span %d: %w", sp.ID, err)
 		}
 		if !e.Slow {
@@ -564,11 +572,10 @@ func (ts *TelemetryStore) insertGroupTx(group []obs.SinkEntry) error {
 			sp.ID, sp.Root, sp.Start, sp.Kind, sp.Op(), stmt,
 			sp.Total.Microseconds(), sp.RowsScanned, sp.RowsReturned, sp.Err,
 		); err != nil {
-			ts.conn.Rollback() //nolint:errcheck
 			return fmt.Errorf("godbc: telemetry insert slowlog %d: %w", sp.ID, err)
 		}
 	}
-	return ts.conn.Commit()
+	return nil
 }
 
 // prune enforces the retention policy: rows older than RetainAge go first,
@@ -649,44 +656,11 @@ func (ts *TelemetryStore) Close() error {
 	return ts.closeErr
 }
 
-// --- pipeline state, for /healthz and the OBS_TELEMETRY catalog ---
+// --- pipeline state: the OBS_TELEMETRY and OBS_ALERT_STATES catalog ---
 
-// TelemetryStats is a point-in-time snapshot of the self-telemetry
-// pipeline: the governor's control state, queue pressure, lifetime
-// throughput counters, and the retention configuration. /healthz embeds it
-// and the OBS_TELEMETRY virtual catalog row is built from it.
-type TelemetryStats struct {
-	Active              bool
-	SampleRate          float64
-	BudgetPct           float64
-	WriteOverheadPct    float64
-	GovernorAdjustments int64
-	QueueDepth          int // sink buffer + writer queue, in entries
-	QueueCapacity       int // sink buffer capacity
-	Offered             int64
-	SampledOut          int64
-	Dropped             int64
-	Stored              int64
-	StoreErrors         int64
-	GroupCommits        int64
-	PrunedSpans         int64
-	PrunedSlowLog       int64
-	LastFlush           time.Time
-	RetainAge           time.Duration
-	RetainRows          int
-
-	// Continuous-observability state; zero values when HistoryEvery is 0.
-	HistoryEnabled bool
-	HistoryEvery   time.Duration
-	LastScrape     time.Time
-	AlertRules     int
-	AlertsPending  int
-	AlertsFiring   int
-}
-
-// telemetryPipeline ties a running sink/store pair together for state
-// snapshots. The pointer survives Stop so post-run summaries still see the
-// final counters, with Active false.
+// telemetryPipeline ties a running sink/store pair together for the
+// catalog. The pointer survives Stop so post-run summaries still see the
+// final counters, with active false.
 type telemetryPipeline struct {
 	sink   *obs.TelemetrySink
 	store  *TelemetryStore
@@ -695,50 +669,67 @@ type telemetryPipeline struct {
 
 var activeTelemetry atomic.Pointer[telemetryPipeline]
 
-// TelemetryState snapshots the most recent telemetry pipeline. ok is false
-// when StartTelemetry has never run in this process; Active is false once
-// the pipeline has been stopped.
-func TelemetryState() (TelemetryStats, bool) {
+// telemetryCols are OBS_TELEMETRY's columns.
+var telemetryCols = []string{"active", "sample_rate", "budget_pct", "write_overhead_pct",
+	"governor_adjustments", "queue_depth", "queue_capacity",
+	"offered", "sampled_out", "dropped", "stored", "store_errors",
+	"group_commits", "pruned_spans", "pruned_slowlog",
+	"retain_rows", "retain_age_sec", "last_flush_age_sec",
+	"history_enabled", "last_scrape_age_ms", "alert_rules", "alerts_pending", "alerts_firing"}
+
+// telemetryRows is OBS_TELEMETRY: exactly one row describing the most
+// recent telemetry pipeline — governor state, queue pressure (sink buffer
+// plus writer queue, against the sink's capacity), lifetime throughput
+// counters, retention, and the continuous layer's scrape freshness and
+// alert counts. When StartTelemetry has never run in this process the row
+// is active=false with every other column NULL, so the table always
+// answers. NULL also marks "off" and "never": retain_age_sec without age
+// pruning, last_flush_age_sec before the first flush, last_scrape_age_ms
+// without history or before the first scrape.
+func telemetryRows(*reldb.Tx) ([]reldb.Row, error) {
 	p := activeTelemetry.Load()
 	if p == nil {
-		return TelemetryStats{}, false
+		row := make(reldb.Row, len(telemetryCols)) // the zero Value is NULL
+		row[0] = reldb.Bool(false)
+		return []reldb.Row{row}, nil
 	}
-	gov := p.store.Governor()
-	st := TelemetryStats{
-		Active:              p.active.Load(),
-		SampleRate:          gov.Rate(),
-		BudgetPct:           gov.BudgetPct(),
-		WriteOverheadPct:    gov.OverheadPct(),
-		GovernorAdjustments: gov.Adjustments(),
-		QueueDepth:          p.sink.Buffered() + p.store.QueuedEntries(),
-		QueueCapacity:       p.sink.Capacity(),
-		Offered:             obs.Default.Counter("obs_telemetry_offered_total").Value(),
-		SampledOut:          obs.Default.Counter("obs_telemetry_sampled_out_total").Value(),
-		Dropped:             obs.Default.Counter("obs_telemetry_dropped_total").Value(),
-		Stored:              obs.Default.Counter("obs_telemetry_stored_total").Value(),
-		StoreErrors:         obs.Default.Counter("obs_telemetry_store_errors_total").Value(),
-		GroupCommits:        mTelGroupCommits.Value(),
-		PrunedSpans:         mTelPrunedSpans.Value(),
-		PrunedSlowLog:       mTelPrunedSlow.Value(),
-		LastFlush:           p.sink.LastFlush(),
-		RetainAge:           p.store.opts.RetainAge,
-		RetainRows:          p.store.opts.RetainRows,
+	ts, gov := p.store, p.store.gov
+	retainAge, flushAge, scrapeAge := reldb.Null, reldb.Null, reldb.Null
+	if ts.opts.RetainAge > 0 {
+		retainAge = reldb.Float(ts.opts.RetainAge.Seconds())
 	}
-	if p.store.historyEnabled() {
-		st.HistoryEnabled = true
-		st.HistoryEvery = p.store.opts.HistoryEvery
-		st.LastScrape = p.store.LastScrape()
-		for _, a := range p.store.AlertsSnapshot() {
-			st.AlertRules++
+	if at := p.sink.LastFlush(); !at.IsZero() {
+		flushAge = reldb.Float(time.Since(at).Seconds())
+	}
+	var rules, pending, firing int64
+	if ts.historyEnabled() {
+		if ns := ts.lastScrapeNS.Load(); ns != 0 {
+			scrapeAge = reldb.Int(time.Since(time.Unix(0, ns)).Milliseconds())
+		}
+		for _, a := range ts.alerts.Snapshot() {
+			rules++
 			switch a.State {
 			case obs.AlertStatePending:
-				st.AlertsPending++
+				pending++
 			case obs.AlertStateFiring:
-				st.AlertsFiring++
+				firing++
 			}
 		}
 	}
-	return st, true
+	counter := func(name string) reldb.Value { return reldb.Int(obs.Default.Counter(name).Value()) }
+	return []reldb.Row{{
+		reldb.Bool(p.active.Load()),
+		reldb.Float(gov.Rate()), reldb.Float(gov.BudgetPct()),
+		reldb.Float(gov.OverheadPct()), reldb.Int(gov.Adjustments()),
+		reldb.Int(int64(p.sink.Buffered() + ts.QueuedEntries())), reldb.Int(int64(p.sink.Capacity())),
+		counter("obs_telemetry_offered_total"), counter("obs_telemetry_sampled_out_total"),
+		counter("obs_telemetry_dropped_total"), counter("obs_telemetry_stored_total"),
+		counter("obs_telemetry_store_errors_total"), reldb.Int(mTelGroupCommits.Value()),
+		reldb.Int(mTelPrunedSpans.Value()), reldb.Int(mTelPrunedSlow.Value()),
+		reldb.Int(int64(ts.opts.RetainRows)), retainAge, flushAge,
+		reldb.Bool(ts.historyEnabled()), scrapeAge,
+		reldb.Int(rules), reldb.Int(pending), reldb.Int(firing),
+	}}, nil
 }
 
 // FlushTelemetry drains the active pipeline end to end: the sink's buffer

@@ -362,6 +362,37 @@ func TestCatalogTelemetry(t *testing.T) {
 	}
 }
 
+// TestCatalogTelemetryRow: OBS_TELEMETRY always answers with exactly one
+// row — active=false with NULL state when no pipeline has ever run, the
+// pipeline's state otherwise, with the off/never values rendered as NULL
+// so dashboards can tell "disabled" from "zero seconds ago".
+func TestCatalogTelemetryRow(t *testing.T) {
+	c := openT(t, freshMem(t))
+	prev := activeTelemetry.Swap(nil) // as if no pipeline had ever run
+	_, out := collect(t, c, "SELECT active, sample_rate, stored, history_enabled, alerts_firing FROM OBS_TELEMETRY")
+	activeTelemetry.Store(prev)
+	if len(out) != 1 || strings.Join(out[0], ",") != "false,<nil>,<nil>,<nil>,<nil>" {
+		t.Fatalf("never-run OBS_TELEMETRY = %v, want active=false and NULLs", out)
+	}
+
+	dsn := freshMem(t)
+	stop, err := StartTelemetry(dsn, TelemetryOptions{Sink: obs.SinkOptions{FlushEvery: time.Hour}, RetainRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop() //nolint:errcheck // best-effort cleanup
+	_, out = collect(t, c, `SELECT retain_rows, retain_age_sec, last_flush_age_sec, history_enabled,
+		last_scrape_age_ms, alert_rules, alerts_pending, alerts_firing FROM OBS_TELEMETRY`)
+	if len(out) != 1 || strings.Join(out[0], ",") != "100,<nil>,<nil>,false,<nil>,0,0,0" {
+		t.Fatalf("OBS_TELEMETRY off/never columns = %v", out)
+	}
+	// The row composes like any table: usable in a WHERE clause.
+	_, out = collect(t, c, "SELECT retain_rows FROM OBS_TELEMETRY WHERE active = TRUE")
+	if len(out) != 1 || out[0][0] != "100" {
+		t.Fatalf("filtered catalog row = %v", out)
+	}
+}
+
 // wrappedDriver opens built-in connections behind a foreign Conn type, the
 // shape of a third-party driver layered over the engine.
 type wrappedDriver struct{}

@@ -12,12 +12,12 @@ import (
 
 // sqlMethods are the godbc entry points that take SQL text as their first
 // argument. For Query and Exec the remaining arguments must match the
-// statement's placeholder count; Prepare binds its arguments later, so
-// only the syntax is checked there.
-var sqlMethods = map[string]bool{"Query": true, "Exec": true, "Prepare": true}
+// statement's placeholder count, and QueryCatalog takes none; Prepare
+// binds its arguments later, so only the syntax is checked there.
+var sqlMethods = map[string]bool{"Query": true, "Exec": true, "Prepare": true, "QueryCatalog": true}
 
 // Sqlcheck returns the SQL-literal analyzer: every string constant passed
-// to Query/Exec/Prepare — across cmd/, internal/, examples/, and tests —
+// to Query/Exec/Prepare/QueryCatalog — across cmd/, internal/, examples/, and tests —
 // must parse with internal/sqlparse, and for Query/Exec the number of `?`
 // placeholders must equal the number of bind arguments at the call.
 //
@@ -28,7 +28,7 @@ func Sqlcheck() *Analyzer {
 	const name = "sqlcheck"
 	return &Analyzer{
 		Name: name,
-		Doc:  "SQL literals passed to Query/Exec/Prepare must parse and match their placeholder count",
+		Doc:  "SQL literals passed to Query/Exec/Prepare/QueryCatalog must parse and match their placeholder count",
 		Run: func(prog *Program) []Diagnostic {
 			var out []Diagnostic
 			forEachSQLLiteral(prog, func(pkg *Package, call *ast.CallExpr, method, sql string) {
@@ -71,7 +71,7 @@ func ExtractSQL(prog *Program) []string {
 	return out
 }
 
-// forEachSQLLiteral visits every Query/Exec/Prepare call whose first
+// forEachSQLLiteral visits every Query/Exec/Prepare/QueryCatalog call whose first
 // argument folds to a string constant. Type-checked files use go/types
 // constant folding (covers named consts and const concatenation); test
 // files, which are parsed AST-only, fall back to syntactic literal

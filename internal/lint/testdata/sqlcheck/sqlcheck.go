@@ -12,6 +12,7 @@ func (d *db) Query(q string, args ...any) (int, error)   { return 0, nil }
 func (d *db) Exec(q string, args ...any) (int, error)    { return 0, nil }
 func (d *db) Prepare(q string) (int, error)              { return 0, nil }
 func (d *db) Explain(q string, args ...any) (int, error) { return 0, nil }
+func (d *db) QueryCatalog(q string) (int, error)         { return 0, nil }
 
 const selByID = "SELECT value FROM metrics WHERE trial = ?"
 
@@ -33,6 +34,10 @@ func tooManyArgs(d *db) {
 	d.Exec("INSERT INTO metrics (trial, value) VALUES (?, ?)", 1, 2.5, "extra") // want "has 2 placeholder\(s\) but the call passes 3 argument\(s\)"
 }
 
+func badCatalogQuery(d *db) {
+	d.QueryCatalog("SELECT active FRM OBS_TELEMETRY") // want "SQL does not parse"
+}
+
 func badConst(d *db) {
 	d.Query(selByID, 1, 2) // want "has 1 placeholder\(s\) but the call passes 2 argument\(s\)"
 }
@@ -43,6 +48,7 @@ func correct(d *db) {
 	d.Query("SELECT value FROM metrics WHERE trial = ?", 7)
 	d.Exec("UPDATE metrics SET value = ? WHERE trial = ?", 1.5, 7)
 	d.Prepare("INSERT INTO metrics (trial, value) VALUES (?, ?)") // Prepare binds later
+	d.QueryCatalog("SELECT active FROM OBS_TELEMETRY")
 }
 
 func quotedQuestionMark(d *db) {

@@ -54,8 +54,8 @@ type AlertRule struct {
 	Severity string        `json:"severity"` // "info" | "warn" | "critical"
 }
 
-// AlertStatus is one rule's live evaluation state, for /alerts and
-// /healthz.
+// AlertStatus is one rule's live evaluation state: one OBS_ALERT_STATES
+// row, its JSON keys the table's column names.
 type AlertStatus struct {
 	RuleID    int64     `json:"rule_id"`
 	RuleName  string    `json:"rule_name"`

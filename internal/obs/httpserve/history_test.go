@@ -94,16 +94,7 @@ func TestAlertsEndpointAndScrapeAge(t *testing.T) {
 	}
 	defer stop() //nolint:errcheck // best-effort cleanup
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st, ok := godbc.TelemetryState(); ok && !st.LastScrape.IsZero() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("scrape loop never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitTelemetry(t, "last_scrape_age_ms IS NOT NULL")
 
 	srv := httptest.NewServer(NewHandler(Options{}))
 	defer srv.Close()
@@ -136,7 +127,7 @@ func TestAlertsEndpointAndScrapeAge(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d: %s", code, body)
 	}
-	var resp HealthResponse
+	var resp healthTelemetry
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatal(err)
 	}

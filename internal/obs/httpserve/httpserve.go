@@ -1,14 +1,19 @@
 // Package httpserve is the HTTP face of PerfDMF's observability layer — the
 // engine behind `perfdmf serve`. It exposes the obs registry in Prometheus
 // text and JSON form, a liveness/durability health probe, the recent trace
-// and slow-query rings, and net/http/pprof, all over plain net/http.
+// and slow-query rings, and net/http/pprof, all over plain net/http. Live
+// engine state — running statements, the telemetry pipeline, alert states —
+// is read only as SQL over the OBS_* catalog (godbc.QueryCatalog), and
+// every such result renders the same way: rows as JSON objects keyed by
+// column name.
 //
-// The package sits above godbc (for the health probe) and obs; nothing in
-// the engine stack imports it.
+// The package sits above godbc (for the health probe and the catalog) and
+// obs; nothing in the engine stack imports it.
 package httpserve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -51,72 +56,69 @@ func (o *Options) fill() {
 // HealthResponse is the /healthz body. Status is "ok" (HTTP 200) or
 // "degraded" (HTTP 503). PlanCacheHitRatio is hits/(hits+misses) over the
 // registry's plan-cache counters, 0 before any statement has run.
+// Telemetry is the telemetryQuery row, present once a telemetry pipeline
+// has run in this process.
 type HealthResponse struct {
-	Status               string           `json:"status"`
-	Error                string           `json:"error,omitempty"`
-	DB                   *godbc.Health    `json:"db,omitempty"`
-	CheckpointAgeSeconds float64          `json:"checkpoint_age_seconds,omitempty"`
-	PlanCacheHitRatio    float64          `json:"plan_cache_hit_ratio"`
-	Telemetry            *TelemetryHealth `json:"telemetry,omitempty"`
+	Status               string         `json:"status"`
+	Error                string         `json:"error,omitempty"`
+	DB                   *godbc.Health  `json:"db,omitempty"`
+	CheckpointAgeSeconds float64        `json:"checkpoint_age_seconds,omitempty"`
+	PlanCacheHitRatio    float64        `json:"plan_cache_hit_ratio"`
+	Telemetry            map[string]any `json:"telemetry,omitempty"`
 }
 
-// TelemetryHealth is the /healthz view of the self-hosted telemetry
-// pipeline — present whenever StartTelemetry has run in this process. The
-// fields answer the operational questions: is it keeping up (queue depth
-// vs capacity, drops), is it shedding load (sample rate), and is data
-// still flowing (age of the last flush; -1 before the first).
-type TelemetryHealth struct {
-	Active              bool    `json:"active"`
-	SampleRate          float64 `json:"sample_rate"`
-	BudgetPct           float64 `json:"budget_pct"`
-	WriteOverheadPct    float64 `json:"write_overhead_pct"`
-	QueueDepth          int     `json:"telemetry_queue_depth"`
-	QueueCapacity       int     `json:"telemetry_queue_capacity"`
-	DroppedTotal        int64   `json:"telemetry_dropped_total"`
-	SampledOutTotal     int64   `json:"telemetry_sampled_out_total"`
-	StoredTotal         int64   `json:"telemetry_stored_total"`
-	StoreErrorsTotal    int64   `json:"telemetry_store_errors_total"`
-	PrunedSpansTotal    int64   `json:"telemetry_pruned_spans_total"`
-	PrunedSlowLogTotal  int64   `json:"telemetry_pruned_slowlog_total"`
-	LastFlushAgeSeconds float64 `json:"last_flush_age_seconds"`
-	// Continuous-observability summary: how fresh the metric history is
-	// (-1 with history off or before the first scrape) and how many alert
-	// rules are currently firing.
-	LastScrapeAgeMS int64 `json:"last_scrape_age_ms"`
-	AlertsFiring    int   `json:"alerts_firing"`
+// The catalog queries behind the JSON endpoints. Live engine state is read
+// only through the OBS_* catalog; the aliases and COALESCE defaults keep
+// the endpoints' keys and -1 "never" sentinels.
+const (
+	// statementsQuery is /statements. Monitoring reads are quiet, so the
+	// query does not list itself.
+	statementsQuery = `SELECT * FROM OBS_ACTIVE_STATEMENTS`
+
+	// telemetryQuery is /healthz's telemetry block: is the pipeline keeping
+	// up (queue depth vs capacity, drops), shedding load (sample rate), and
+	// is data still flowing (flush and scrape ages). It has no row until a
+	// pipeline has run: the catalog row's state is NULL until then.
+	telemetryQuery = `SELECT active, sample_rate, budget_pct, write_overhead_pct,
+		queue_depth AS telemetry_queue_depth, queue_capacity AS telemetry_queue_capacity,
+		dropped AS telemetry_dropped_total, sampled_out AS telemetry_sampled_out_total,
+		stored AS telemetry_stored_total, store_errors AS telemetry_store_errors_total,
+		pruned_spans AS telemetry_pruned_spans_total, pruned_slowlog AS telemetry_pruned_slowlog_total,
+		COALESCE(last_flush_age_sec, -1) AS last_flush_age_seconds,
+		COALESCE(last_scrape_age_ms, -1) AS last_scrape_age_ms, alerts_firing
+		FROM OBS_TELEMETRY WHERE queue_capacity IS NOT NULL`
+
+	// alertsActiveQuery is /alerts' active flag: has a history-enabled
+	// pipeline run in this process.
+	alertsActiveQuery = `SELECT COALESCE(history_enabled, FALSE) AS active FROM OBS_TELEMETRY`
+
+	// alertsQuery is /alerts' rule list. An ok rule's NULL since renders
+	// as Go's zero time, the value /alerts clients decode into time.Time.
+	alertsQuery = `SELECT rule_id, rule_name, metric, severity, state,
+		COALESCE(since, '0001-01-01T00:00:00Z') AS since, value, episode_id FROM OBS_ALERT_STATES`
+)
+
+// statements serves /statements: the running statements, as a JSON array
+// of objects keyed by column name.
+func statements(w http.ResponseWriter, r *http.Request) {
+	rows, err := godbc.QueryCatalog(statementsQuery)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSON(w, http.StatusOK, rows)
 }
 
-// telemetryHealth snapshots the pipeline, nil when it has never run.
-func telemetryHealth() *TelemetryHealth {
-	st, ok := godbc.TelemetryState()
-	if !ok {
-		return nil
+// alerts serves /alerts: whether alert evaluation is active, and every
+// rule's live state.
+func alerts(w http.ResponseWriter, r *http.Request) {
+	active, err := godbc.QueryCatalog(alertsActiveQuery)
+	rules, rerr := godbc.QueryCatalog(alertsQuery)
+	if err = errors.Join(err, rerr); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	age := -1.0
-	if !st.LastFlush.IsZero() {
-		age = time.Since(st.LastFlush).Seconds()
-	}
-	scrapeAge := int64(-1)
-	if !st.LastScrape.IsZero() {
-		scrapeAge = time.Since(st.LastScrape).Milliseconds()
-	}
-	return &TelemetryHealth{
-		Active:              st.Active,
-		SampleRate:          st.SampleRate,
-		BudgetPct:           st.BudgetPct,
-		WriteOverheadPct:    st.WriteOverheadPct,
-		QueueDepth:          st.QueueDepth,
-		QueueCapacity:       st.QueueCapacity,
-		DroppedTotal:        st.Dropped,
-		SampledOutTotal:     st.SampledOut,
-		StoredTotal:         st.Stored,
-		StoreErrorsTotal:    st.StoreErrors,
-		PrunedSpansTotal:    st.PrunedSpans,
-		PrunedSlowLogTotal:  st.PrunedSlowLog,
-		LastFlushAgeSeconds: age,
-		LastScrapeAgeMS:     scrapeAge,
-		AlertsFiring:        st.AlertsFiring,
-	}
+	writeJSON(w, http.StatusOK, map[string]any{"active": active[0]["active"], "alerts": rules})
 }
 
 // NewHandler builds the monitoring mux:
@@ -151,17 +153,9 @@ func NewHandler(o Options) http.Handler {
 	mux.HandleFunc("/slowlog", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		writeSpans(w, r, o.SlowLog.Recent())
 	}))
-	mux.HandleFunc("/statements", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, godbc.ActiveStatements())
-	}))
+	mux.HandleFunc("/statements", getOnly(statements))
 	mux.HandleFunc("/history", getOnly(metricHistory))
-	mux.HandleFunc("/alerts", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		alerts, active := godbc.AlertsState()
-		if alerts == nil {
-			alerts = []obs.AlertStatus{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"active": active, "alerts": alerts})
-	}))
+	mux.HandleFunc("/alerts", getOnly(alerts))
 	mux.HandleFunc("/statements/", statementByID)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -172,14 +166,14 @@ func NewHandler(o Options) http.Handler {
 }
 
 func (o *Options) health() (HealthResponse, int) {
-	reg := o.Registry
-	if reg == nil {
-		reg = obs.Default
+	resp := HealthResponse{Status: "ok", PlanCacheHitRatio: planCacheHitRatio(o.Registry)}
+	tel, err := godbc.QueryCatalog(telemetryQuery)
+	if err != nil {
+		resp.Status, resp.Error = "degraded", err.Error()
+		return resp, http.StatusServiceUnavailable
 	}
-	resp := HealthResponse{
-		Status:            "ok",
-		PlanCacheHitRatio: planCacheHitRatio(reg),
-		Telemetry:         telemetryHealth(),
+	if len(tel) > 0 {
+		resp.Telemetry = tel[0]
 	}
 	if o.Health == nil {
 		return resp, http.StatusOK

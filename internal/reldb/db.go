@@ -18,6 +18,7 @@ type DB struct {
 	wal     *walWriter        // nil for purely in-memory databases
 	dir     string            // durable storage directory ("" = memory)
 	walOps  int               // logical ops appended since last checkpoint
+	gen     uint64            // checkpoint generation of the snapshot the WAL extends
 	chkEach int               // checkpoint after this many ops (0 = never)
 	lastChk time.Time         // last successful checkpoint (or the snapshot
 	// loaded at Open); zero for in-memory databases and fresh directories

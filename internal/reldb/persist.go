@@ -26,12 +26,26 @@ import (
 // free list is LIFO and is persisted in the snapshot), so replaying the
 // records against the snapshot they were logged on reproduces the state
 // byte for byte.
+//
+// Each checkpoint advances a generation stamped into both files: the
+// snapshot header, and a header at the start of the WAL naming the
+// snapshot generation its records extend. A crash between renaming a new
+// snapshot into place and resetting the WAL leaves a WAL older than the
+// snapshot, whose records the snapshot already holds; Open ignores it
+// instead of applying it twice. Files written before generations existed
+// (version 1 snapshots, WALs without the header) are generation 0.
 
 const (
 	snapFile  = "data.snap"
 	walFile   = "data.wal"
 	snapMagic = 0x5044_4D46 // "PDMF"
-	snapVer   = 1
+	snapVer   = 2           // 1: no generation
+
+	// walMagic opens a stamped WAL. Read as the length field of an
+	// unstamped WAL's first batch it would declare exabytes, so the two
+	// layouts cannot be confused.
+	walMagic      = 0x4C41_5746_444D_5050 // "PPMDFWAL"
+	walHeaderSize = 16                    // magic, generation
 )
 
 type walKind uint8
@@ -113,7 +127,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 
-	w, err := openWAL(walPath, opts.Sync)
+	w, err := openWAL(walPath, opts.Sync, db.gen)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +154,7 @@ func (db *DB) checkpointLocked() error {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := db.writeSnapshot(bw); err != nil {
+	if err := db.writeSnapshot(bw, db.gen+1); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -163,8 +177,14 @@ func (db *DB) checkpointLocked() error {
 	if err := os.Rename(tmp, snapPath); err != nil {
 		return err
 	}
+	// The rename must be durable before the WAL it supersedes is reset: a
+	// reset WAL next to the old snapshot would lose every record since it.
+	if err := syncDir(db.dir); err != nil {
+		return err
+	}
+	db.gen++
 	db.walOps = 0
-	if err := db.wal.truncate(); err != nil {
+	if err := db.wal.reset(db.gen); err != nil {
 		return err
 	}
 	mCheckpoints.Inc()
@@ -174,6 +194,16 @@ func (db *DB) checkpointLocked() error {
 		mSnapshotBytes.Set(fi.Size())
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Close flushes and closes the WAL. In-memory databases only mark
@@ -361,10 +391,13 @@ func (d *reader) schema() *Schema {
 
 // --- snapshot ---
 
-func (db *DB) writeSnapshot(w *bufio.Writer) error {
-	var hdr [8]byte
+// writeSnapshot writes the database as the snapshot of checkpoint
+// generation gen.
+func (db *DB) writeSnapshot(w *bufio.Writer, gen uint64) error {
+	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], snapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], snapVer)
+	binary.LittleEndian.PutUint64(hdr[8:], gen)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -434,7 +467,15 @@ func (db *DB) loadSnapshot(r *bufio.Reader) error {
 	if binary.LittleEndian.Uint32(hdr[0:]) != snapMagic {
 		return fmt.Errorf("bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != snapVer {
+	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
+	case 1:
+	case snapVer:
+		var gen [8]byte
+		if _, err := io.ReadFull(r, gen[:]); err != nil {
+			return err
+		}
+		db.gen = binary.LittleEndian.Uint64(gen[:])
+	default:
 		return fmt.Errorf("unsupported snapshot version %d", v)
 	}
 	d := &reader{r: r}
@@ -509,18 +550,29 @@ type walWriter struct {
 	// and at close/truncate. The walWriter is only touched under the
 	// database write lock, so the counter needs no synchronisation.
 	unsynced int
+	// gen is the checkpoint generation the log extends; an empty log gets
+	// the header naming it with its first batch.
+	gen   uint64
+	empty bool
 }
 
 // relaxedFsyncEvery bounds how many relaxed commit batches may ride on one
 // deferred fsync.
 const relaxedFsyncEvery = 32
 
-func openWAL(path string, sync bool) (*walWriter, error) {
+// openWAL opens the WAL for appending; an empty one is stamped as
+// extending checkpoint generation gen by its first append.
+func openWAL(path string, sync bool, gen uint64) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &walWriter{f: f, sync: sync}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &walWriter{f: f, sync: sync, gen: gen, empty: fi.Size() == 0}, nil
 }
 
 // walBufPool recycles the encode buffer across commit batches. Bulk loads
@@ -549,18 +601,25 @@ func (w *walWriter) append(recs []walRecord, relaxed bool) error {
 		encodeWALRecord(b, &recs[i])
 	}
 	payload := b.Bytes()
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr[:]); err != nil {
+	var hdr [walHeaderSize + 12]byte // log header, then batch header
+	binary.LittleEndian.PutUint64(hdr[0:], walMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], w.gen)
+	binary.LittleEndian.PutUint64(hdr[walHeaderSize:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[walHeaderSize+8:], crc32.ChecksumIEEE(payload))
+	head := hdr[walHeaderSize:]
+	if w.empty {
+		head = hdr[:]
+	}
+	if _, err := w.f.Write(head); err != nil {
 		return err
 	}
+	w.empty = false
 	if _, err := w.f.Write(payload); err != nil {
 		return err
 	}
 	mWALAppends.Inc()
 	mWALRecords.Add(int64(len(recs)))
-	mWALBytes.Add(int64(len(hdr) + len(payload)))
+	mWALBytes.Add(int64(len(head) + len(payload)))
 	if relaxed {
 		mWALRelaxedAppends.Inc()
 	}
@@ -593,11 +652,13 @@ func (w *walWriter) probe() error {
 	return err
 }
 
-func (w *walWriter) truncate() error {
+// reset empties the WAL, to extend checkpoint generation gen.
+func (w *walWriter) reset(gen uint64) error {
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
 	w.unsynced = 0 // deferred relaxed fsyncs die with the truncated log
+	w.gen, w.empty = gen, true
 	_, err := w.f.Seek(0, io.SeekStart)
 	return err
 }
@@ -654,14 +715,32 @@ func encodeWALRecord(b *bytes.Buffer, r *walRecord) {
 
 // recoverWAL replays the log in f and truncates a torn tail away, syncing
 // the truncation, so the next commit appends right after the last complete
-// batch instead of after bytes a later replay would misread as a batch.
+// batch instead of after bytes a later replay would misread as a batch. A
+// log older than the snapshot (a crash inside checkpoint), or one whose
+// header is torn, holds nothing the snapshot lacks: it is emptied
+// unreplayed, to be stamped afresh by its next append. A log newer than
+// the snapshot means the snapshot it extends is missing, and fails.
 func (db *DB) recoverWAL(f *os.File) (int, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, err
 	}
-	ops, good, err := db.replayWAL(bufio.NewReaderSize(f, 1<<20), fi.Size())
-	if err != nil || good == fi.Size() {
+	br := bufio.NewReaderSize(f, 1<<20)
+	gen, good, torn := uint64(0), int64(0), false // an unstamped log extends generation 0
+	if hdr, _ := br.Peek(walHeaderSize); len(hdr) >= 8 && binary.LittleEndian.Uint64(hdr) == walMagic {
+		torn = len(hdr) < walHeaderSize
+		if !torn {
+			gen, good = binary.LittleEndian.Uint64(hdr[8:]), walHeaderSize
+			br.Discard(walHeaderSize) //nolint:errcheck // peeked above
+		}
+	}
+	if gen > db.gen {
+		return 0, fmt.Errorf("wal extends checkpoint generation %d, newer than the snapshot's %d", gen, db.gen)
+	}
+	var ops int
+	if torn || gen < db.gen {
+		good = 0
+	} else if ops, good, err = db.replayWAL(br, good, fi.Size()); err != nil || good == fi.Size() {
 		return ops, err
 	}
 	if err := f.Truncate(good); err != nil {
@@ -670,13 +749,15 @@ func (db *DB) recoverWAL(f *os.File) (int, error) {
 	return ops, f.Sync()
 }
 
-// replayWAL applies logged batches from a log of size bytes to the
-// in-memory state, stopping cleanly at a torn final batch (the expected
-// crash shape): a short header, a header declaring more bytes than remain,
-// or a short payload. It returns the number of operations applied and the
-// offset just past the last complete batch. A complete batch whose
-// checksum does not match is corruption, not a torn tail, and fails.
-func (db *DB) replayWAL(br *bufio.Reader, size int64) (ops int, good int64, err error) {
+// replayWAL applies the logged batches that br reads from offset start of
+// a log of size bytes to the in-memory state, stopping cleanly at a torn
+// final batch (the expected crash shape): a short header, a header
+// declaring more bytes than remain, or a short payload. It returns the
+// number of operations applied and the offset just past the last complete
+// batch. A complete batch whose checksum does not match is corruption, not
+// a torn tail, and fails.
+func (db *DB) replayWAL(br *bufio.Reader, start, size int64) (ops int, good int64, err error) {
+	good = start
 	for {
 		var hdr [12]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"perfdmf/internal/obs"
 	"perfdmf/internal/reldb"
@@ -19,14 +18,9 @@ const (
 	CatalogMetrics = "OBS_METRICS"
 	// CatalogActiveStatements lists every statement currently executing.
 	CatalogActiveStatements = "OBS_ACTIVE_STATEMENTS"
-	// CatalogPlanCache reports per-connection prepared-statement caches.
-	CatalogPlanCache = "OBS_PLAN_CACHE"
 	// CatalogTableStats joins ANALYZE's persisted statistics with live
 	// table state and a staleness verdict.
 	CatalogTableStats = "OBS_TABLE_STATS"
-	// CatalogTelemetry is a single-row view of the self-hosted telemetry
-	// pipeline: governor state, queue pressure, throughput and retention.
-	CatalogTelemetry = "OBS_TELEMETRY"
 	// CatalogMetricsHistory exposes the in-memory metric history ring: one
 	// row per metric that moved in each scrape, delta-encoded like the
 	// persisted PERFDMF_METRICS_HISTORY table the scrape loop mirrors into.
@@ -48,7 +42,9 @@ type catalogDef struct {
 	rows func(tx *reldb.Tx) ([]reldb.Row, error)
 }
 
-// catalogs maps upper-cased virtual table names to their definitions.
+// catalogs maps upper-cased virtual table names to their definitions: the
+// executor's own tables below, plus those layers above it add with
+// RegisterCatalog.
 var catalogs = map[string]*catalogDef{
 	CatalogMetrics: {
 		cols: []string{"name", "kind", "value", "count", "sum", "p50", "p95", "p99"},
@@ -59,19 +55,10 @@ var catalogs = map[string]*catalogDef{
 			"rows_scanned", "rows_returned", "workers", "killed"},
 		rows: obsActiveStatementsRows,
 	},
-	CatalogPlanCache: {
-		cols: []string{"conn_id", "entries", "capacity", "hits", "misses",
-			"columnar_hits", "schema_version"},
-		rows: obsPlanCacheRows,
-	},
 	CatalogTableStats: {
 		cols: []string{"table_name", "column_name", "row_count", "ndv", "null_frac",
 			"min_value", "max_value", "live_rows", "stale", "analyzed_at"},
 		rows: obsTableStatsRows,
-	},
-	CatalogTelemetry: {
-		cols: telemetryCols,
-		rows: obsTelemetryRows,
 	},
 	CatalogMetricsHistory: {
 		cols: []string{"at", "elapsed_us", "name", "kind", "value",
@@ -89,14 +76,20 @@ var catalogs = map[string]*catalogDef{
 var alertsCols = []string{"alert_id", "rule_id", "rule_name", "metric", "severity",
 	"state", "value", "threshold", "detail", "pending_at", "firing_at", "resolved_at"}
 
-// telemetryCols is named (rather than inlined above) so obsTelemetryRows
-// can pad its inactive row to the same width without referring back to the
-// catalogs map, which would be an initialization cycle.
-var telemetryCols = []string{"active", "sample_rate", "budget_pct", "write_overhead_pct",
-	"governor_adjustments", "queue_depth", "queue_capacity",
-	"offered", "sampled_out", "dropped", "stored", "store_errors",
-	"group_commits", "pruned_spans", "pruned_slowlog",
-	"retain_rows", "retain_age_sec", "last_flush_age_sec"}
+// RegisterCatalog adds a virtual table to the catalog: name (matched
+// case-insensitively), its column names, and the function that snapshots
+// its rows at bind time, inside the querying transaction. Layers above the
+// executor use it for state the executor cannot see, such as godbc's
+// per-connection plan caches and its telemetry pipeline; every row must
+// have len(cols) values. Call it from an init function: the catalog is read
+// without locking, and a name registered twice panics.
+func RegisterCatalog(name string, cols []string, rows func(tx *reldb.Tx) ([]reldb.Row, error)) {
+	name = strings.ToUpper(name)
+	if catalogs[name] != nil {
+		panic("sqlexec: RegisterCatalog called twice for " + name)
+	}
+	catalogs[name] = &catalogDef{cols: cols, rows: rows}
+}
 
 // catalogTable resolves a FROM-clause name to a virtual table definition,
 // nil for ordinary tables. Catalog names are reserved: they shadow any
@@ -170,7 +163,8 @@ func obsMetricsRows(*reldb.Tx) ([]reldb.Row, error) {
 
 // obsActiveStatementsRows snapshots the statement registry, sorted by id.
 // The querying statement itself appears in the result — it is, after all,
-// active.
+// active — unless its connection keeps it out of the registry (godbc's
+// quiet monitoring connections do).
 func obsActiveStatementsRows(*reldb.Tx) ([]reldb.Row, error) {
 	infos := Statements.Snapshot()
 	rows := make([]reldb.Row, len(infos))
@@ -182,113 +176,6 @@ func obsActiveStatementsRows(*reldb.Tx) ([]reldb.Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// PlanCacheInfo describes one connection's prepared-statement cache for
-// OBS_PLAN_CACHE. godbc supplies these via SetPlanCacheSource; the executor
-// itself has no view of connection-scoped caches.
-type PlanCacheInfo struct {
-	ConnID   int64
-	Entries  int
-	Capacity int
-	Hits     int64
-	Misses   int64
-	// ColumnarHits counts executions of cached plans that took the
-	// vectorized aggregation path (Plan.Columnar summed over entries).
-	ColumnarHits int64
-}
-
-var planCacheSource atomic.Value // holds func() []PlanCacheInfo
-
-// SetPlanCacheSource installs the provider OBS_PLAN_CACHE snapshots. The
-// function must be safe to call from any goroutine.
-func SetPlanCacheSource(fn func() []PlanCacheInfo) { planCacheSource.Store(fn) }
-
-// obsPlanCacheRows reports one row per live connection cache, plus the
-// process-wide schema version DDL staleness is judged against.
-func obsPlanCacheRows(*reldb.Tx) ([]reldb.Row, error) {
-	var infos []PlanCacheInfo
-	if fn, ok := planCacheSource.Load().(func() []PlanCacheInfo); ok && fn != nil {
-		infos = fn()
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ConnID < infos[j].ConnID })
-	sv := reldb.CurrentSchemaVersion()
-	rows := make([]reldb.Row, len(infos))
-	for i, c := range infos {
-		rows[i] = reldb.Row{
-			reldb.Int(c.ConnID), reldb.Int(int64(c.Entries)), reldb.Int(int64(c.Capacity)),
-			reldb.Int(c.Hits), reldb.Int(c.Misses), reldb.Int(c.ColumnarHits), reldb.Int(sv),
-		}
-	}
-	return rows, nil
-}
-
-// TelemetryInfo is the OBS_TELEMETRY row. godbc supplies it via
-// SetTelemetrySource; the executor has no view of the telemetry pipeline
-// (and must not compute wall-clock ages itself — the source pre-computes
-// LastFlushAgeSec so catalog materialization stays deterministic).
-type TelemetryInfo struct {
-	Active              bool
-	SampleRate          float64
-	BudgetPct           float64
-	WriteOverheadPct    float64
-	GovernorAdjustments int64
-	QueueDepth          int
-	QueueCapacity       int
-	Offered             int64
-	SampledOut          int64
-	Dropped             int64
-	Stored              int64
-	StoreErrors         int64
-	GroupCommits        int64
-	PrunedSpans         int64
-	PrunedSlowLog       int64
-	RetainRows          int     // <= 0: row-cap pruning off
-	RetainAgeSec        float64 // <= 0: age pruning off
-	LastFlushAgeSec     float64 // seconds since the last sink flush; < 0: never
-}
-
-var telemetrySource atomic.Value // holds func() (TelemetryInfo, bool)
-
-// SetTelemetrySource installs the provider behind OBS_TELEMETRY. ok=false
-// from the provider means no pipeline has ever run in this process. The
-// function must be safe to call from any goroutine.
-func SetTelemetrySource(fn func() (TelemetryInfo, bool)) { telemetrySource.Store(fn) }
-
-// obsTelemetryRows emits exactly one row. When no pipeline has ever run
-// (or no source is installed) the row is active=false with NULL state, so
-// `SELECT * FROM OBS_TELEMETRY` is always answerable.
-func obsTelemetryRows(*reldb.Tx) ([]reldb.Row, error) {
-	var info TelemetryInfo
-	known := false
-	if fn, ok := telemetrySource.Load().(func() (TelemetryInfo, bool)); ok && fn != nil {
-		info, known = fn()
-	}
-	if !known {
-		row := reldb.Row{reldb.Bool(false)}
-		for i := 1; i < len(telemetryCols); i++ {
-			row = append(row, reldb.Null)
-		}
-		return []reldb.Row{row}, nil
-	}
-	optional := func(v float64, off bool) reldb.Value {
-		if off {
-			return reldb.Null
-		}
-		return reldb.Float(v)
-	}
-	return []reldb.Row{{
-		reldb.Bool(info.Active),
-		reldb.Float(info.SampleRate), reldb.Float(info.BudgetPct),
-		reldb.Float(info.WriteOverheadPct), reldb.Int(info.GovernorAdjustments),
-		reldb.Int(int64(info.QueueDepth)), reldb.Int(int64(info.QueueCapacity)),
-		reldb.Int(info.Offered), reldb.Int(info.SampledOut), reldb.Int(info.Dropped),
-		reldb.Int(info.Stored), reldb.Int(info.StoreErrors), reldb.Int(info.GroupCommits),
-		reldb.Int(info.PrunedSpans), reldb.Int(info.PrunedSlowLog),
-		reldb.Int(int64(info.RetainRows)),
-		optional(info.RetainAgeSec, info.RetainAgeSec <= 0),
-		optional(info.LastFlushAgeSec, info.LastFlushAgeSec < 0),
-	}}, nil
 }
 
 // obsMetricsHistoryRows flattens the process-wide history ring: every

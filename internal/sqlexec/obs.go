@@ -37,10 +37,14 @@ var (
 	mCatalogAnalyze = obs.Default.Counter("obs_catalog_analyze_total")
 )
 
-// PlanCacheHit records a statement served from a prepared-plan cache
-// without touching the parser. The counters live here rather than in godbc
-// so every layer reporting on the plan cache shares one metric family.
-func PlanCacheHit() { mPlanCacheHits.Inc() }
-
-// PlanCacheMiss records a statement that had to be parsed.
-func PlanCacheMiss() { mPlanCacheMisses.Inc() }
+// CountPlanCache records one prepared-plan cache lookup: a hit served the
+// statement without touching the parser, a miss had to parse it. The
+// counters live here rather than in godbc so every layer reporting on the
+// plan cache shares one metric family.
+func CountPlanCache(hit bool) {
+	if hit {
+		mPlanCacheHits.Inc()
+	} else {
+		mPlanCacheMisses.Inc()
+	}
+}

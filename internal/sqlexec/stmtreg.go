@@ -109,9 +109,8 @@ func (e *StmtEntry) Finish() {
 	r.mu.Unlock()
 }
 
-// StmtInfo is a point-in-time copy of one statement's accounting, shaped
-// for both the OBS_ACTIVE_STATEMENTS catalog table and the /statements
-// endpoint.
+// StmtInfo is a point-in-time copy of one statement's accounting: one
+// OBS_ACTIVE_STATEMENTS row, its JSON keys the table's column names.
 type StmtInfo struct {
 	ID           int64  `json:"statement_id"`
 	SQL          string `json:"sql"`
@@ -133,8 +132,8 @@ type StmtRegistry struct {
 	entries map[int64]*StmtEntry
 }
 
-// Statements is the process-wide registry backing OBS_ACTIVE_STATEMENTS,
-// KILL, and the /statements endpoint.
+// Statements is the process-wide registry backing OBS_ACTIVE_STATEMENTS
+// and KILL.
 var Statements = &StmtRegistry{entries: make(map[int64]*StmtEntry)}
 
 // Begin registers a new statement and returns its accounting entry. sql is
