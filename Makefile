@@ -63,8 +63,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second pass repeats the telemetry pipeline tests (writer, barrier,
+# retention, catalog row, history loop) 20 times: a flaky barrier shows up
+# as a failed run here, not as a rare failure in one full-suite pass.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestTelemetry|TestCatalogTelemetry|TestContinuousObservability' ./internal/godbc
 
 # 10 seconds of fuzzing per target (Go allows one -fuzz per invocation):
 # FuzzParse runs the parser over the committed SQL seed corpus
@@ -156,8 +160,9 @@ catalog-smoke:
 # Telemetry-pipeline smoke over the real binary: load a synthesized TAU
 # run with span persistence, sampling forced off (-telemetry-budget=-1 so
 # the span count is deterministic) and a tight row cap, then assert the
-# load's drain summary shows spans stored AND pruned, the archive honours
-# the cap, and the OBS_TELEMETRY catalog answers.
+# load's drain summary shows spans stored AND pruned with none dropped
+# (the load offers far fewer spans than the sink's buffer holds), the
+# archive honours the cap, and the OBS_TELEMETRY catalog answers.
 telemetry-smoke:
 	$(GO) build -o bin/perfdmf ./cmd/perfdmf
 	@rm -rf bin/telemetry-smoke && mkdir -p bin/telemetry-smoke/db
@@ -165,10 +170,12 @@ telemetry-smoke:
 	bin/perfdmf load -db file:bin/telemetry-smoke/db -telemetry -telemetry-budget=-1 -telemetry-retain-rows=50 -app smoke -exp e1 bin/telemetry-smoke/fixtures/tau-run > bin/telemetry-smoke/load.out
 	@stored=$$(sed -n 's/^telemetry: stored=\([0-9][0-9]*\).*/\1/p' bin/telemetry-smoke/load.out); \
 	pruned=$$(sed -n 's/^telemetry: .* pruned_spans=\([0-9][0-9]*\).*/\1/p' bin/telemetry-smoke/load.out); \
+	dropped=$$(sed -n 's/^telemetry: .* dropped=\([0-9][0-9]*\).*/\1/p' bin/telemetry-smoke/load.out); \
 	if [ -z "$$stored" ]; then echo "telemetry-smoke: load printed no pipeline summary"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
 	if [ "$$stored" -le 0 ]; then echo "telemetry-smoke: stored=$$stored, want > 0"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
+	if [ "$$dropped" != 0 ]; then echo "telemetry-smoke: dropped=$$dropped, want 0"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
 	if [ -z "$$pruned" ] || [ "$$pruned" -le 0 ]; then echo "telemetry-smoke: pruned_spans=$$pruned, want > 0 (cap 50)"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
-	echo "telemetry-smoke: stored=$$stored pruned_spans=$$pruned"
+	echo "telemetry-smoke: stored=$$stored dropped=$$dropped pruned_spans=$$pruned"
 	bin/perfdmf sql -db file:bin/telemetry-smoke/db "SELECT COUNT(*) FROM PERFDMF_SPANS" > bin/telemetry-smoke/count.out
 	@n=$$(sed -n '2p' bin/telemetry-smoke/count.out | tr -d '[:space:]'); \
 	if [ -z "$$n" ] || [ "$$n" -lt 1 ] || [ "$$n" -gt 50 ]; then \

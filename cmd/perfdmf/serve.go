@@ -24,7 +24,7 @@ type serveConfig struct {
 	addr       string
 	interval   time.Duration // runtime-collector sampling interval
 	telemetry  bool          // persist spans into PERFDMF_SPANS / PERFDMF_SLOWLOG
-	flush      time.Duration // telemetry sink flush interval
+	flush      time.Duration // how often the telemetry writer pulls buffered spans
 	telBudget  float64       // telemetry overhead budget pct (0 = DSN/default)
 	retainAge  time.Duration // prune telemetry rows older than this (0 = off)
 	retainRows int           // telemetry table row cap (0 = default, <0 = off)
@@ -79,7 +79,7 @@ func startServe(cfg serveConfig) (*serveInstance, error) {
 
 	if cfg.telemetry {
 		stop, err := godbc.StartTelemetry(cfg.dsn, godbc.TelemetryOptions{
-			Sink:         obs.SinkOptions{FlushEvery: cfg.flush},
+			FlushEvery:   cfg.flush,
 			BudgetPct:    cfg.telBudget,
 			RetainAge:    cfg.retainAge,
 			RetainRows:   cfg.retainRows,
@@ -176,7 +176,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7227", "listen address (host:port, port 0 for ephemeral)")
 	interval := fs.Duration("interval", 5*time.Second, "runtime collector sampling interval")
 	telemetry := fs.Bool("telemetry", true, "persist spans and slow queries into PERFDMF_SPANS/PERFDMF_SLOWLOG")
-	flush := fs.Duration("flush", time.Second, "telemetry sink flush interval")
+	flush := fs.Duration("flush", time.Second, "how often the telemetry writer pulls buffered spans")
 	telBudget := fs.Float64("telemetry-budget", 0, "telemetry overhead budget in percent (0 defers to ?telemetrybudget then the default; negative disables sampling)")
 	retainAge := fs.Duration("telemetry-retain-age", 0, "prune telemetry rows older than this (0 disables age pruning)")
 	retainRows := fs.Int("telemetry-retain-rows", 0, "cap telemetry tables at this many rows (0 = default cap, negative = uncapped)")

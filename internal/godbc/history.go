@@ -352,62 +352,6 @@ func (ts *TelemetryStore) applyTransitionTx(t *obs.AlertTransition) error {
 	return nil
 }
 
-// pruneObservability enforces retention on the continuous tables: history
-// rows age out and are capped like span rows; alert episodes are pruned
-// only once resolved (open episodes are live state, not history).
-func (ts *TelemetryStore) pruneObservability() {
-	if !ts.historyEnabled() {
-		return
-	}
-	if ts.opts.RetainAge > 0 {
-		cutoff := time.Now().Add(-ts.opts.RetainAge)
-		if res, err := ts.conn.Exec(
-			"DELETE FROM PERFDMF_METRICS_HISTORY WHERE at < ?", cutoff); err != nil {
-			mTelWriterErrors.Inc()
-		} else {
-			mHistPrunedRows.Add(res.RowsAffected)
-		}
-		if res, err := ts.conn.Exec(
-			"DELETE FROM PERFDMF_ALERTS WHERE state = 'resolved' AND resolved_at < ?", cutoff); err != nil {
-			mTelWriterErrors.Inc()
-		} else {
-			mAlertsPrunedRows.Add(res.RowsAffected)
-		}
-	}
-	if ts.opts.RetainRows > 0 {
-		ts.pruneHistoryRows()
-	}
-}
-
-// pruneHistoryRows caps PERFDMF_METRICS_HISTORY at RetainRows rows by
-// deleting everything older than the RetainRows-th newest timestamp.
-// Several rows share one scrape timestamp, so the cap is approximate by up
-// to one sample's width — retention is a bound, not an invariant.
-func (ts *TelemetryStore) pruneHistoryRows() {
-	rows, err := ts.conn.Query(
-		"SELECT at FROM PERFDMF_METRICS_HISTORY ORDER BY at DESC LIMIT 1 OFFSET ?",
-		ts.opts.RetainRows-1)
-	if err != nil {
-		mTelWriterErrors.Inc()
-		return
-	}
-	defer rows.Close()
-	if !rows.Next() {
-		return // within the cap
-	}
-	keepFrom, ok := rows.Value(0).(time.Time)
-	rows.Close()
-	if !ok {
-		return
-	}
-	res, err := ts.conn.Exec("DELETE FROM PERFDMF_METRICS_HISTORY WHERE at < ?", keepFrom)
-	if err != nil {
-		mTelWriterErrors.Inc()
-		return
-	}
-	mHistPrunedRows.Add(res.RowsAffected)
-}
-
 // alertStateCols are OBS_ALERT_STATES's columns.
 var alertStateCols = []string{"rule_id", "rule_name", "metric", "severity", "state",
 	"since", "value", "episode_id"}
@@ -419,11 +363,11 @@ var alertStateCols = []string{"rule_id", "rule_name", "metric", "severity", "sta
 // episode_id (the PERFDMF_ALERTS row of the open episode) NULL without
 // one. OBS_ALERTS is the persisted history of the same episodes.
 func alertStateRows(*reldb.Tx) ([]reldb.Row, error) {
-	p := activeTelemetry.Load()
-	if p == nil || p.store.alerts == nil {
+	ts := activeTelemetry.Load()
+	if ts == nil || ts.alerts == nil {
 		return nil, nil
 	}
-	snap := p.store.alerts.Snapshot()
+	snap := ts.alerts.Snapshot()
 	rows := make([]reldb.Row, len(snap))
 	for i, a := range snap {
 		since, episode := reldb.Null, reldb.Null

@@ -5,20 +5,19 @@
 //
 //	SELECT op, COUNT(*), SUM(dur_us) FROM PERFDMF_SPANS GROUP BY op
 //
-// The obs.TelemetrySink owns buffering, backpressure and head sampling;
-// TelemetryStore owns the schema and an asynchronous group-commit write
-// path: sink batches land in a bounded queue, a dedicated writer goroutine
-// coalesces them into one relaxed-durability transaction per group, prunes
-// the telemetry tables by age and row cap, and feeds every write's cost
-// back into the sampling governor so persistence stays inside the overhead
-// budget. The store's connection is quiet (it never produces spans), so
-// persisting telemetry cannot generate more telemetry.
+// The obs.TelemetrySink owns the one buffer, backpressure and head
+// sampling; TelemetryStore owns the schema and a writer goroutine that
+// pulls from that buffer, commits what it pulled in relaxed-durability
+// group transactions, prunes the telemetry tables by age and row cap, and
+// feeds every write's cost back into the sampling governor so persistence
+// stays inside the overhead budget. The store's connection is quiet (it
+// never produces spans), so persisting telemetry cannot generate more
+// telemetry.
 package godbc
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,27 +139,27 @@ const (
 	DefaultTelemetryRetainRows = 100_000
 )
 
+// The writer's fixed cadence: a group commits once telemetryGroupSize
+// entries are pending or the oldest has waited telemetryMaxBatchAge, at
+// most two groups are ever pending, and retention sweeps run every
+// telemetryPruneEvery (and once more at Close).
+const (
+	telemetryGroupSize   = 512
+	telemetryMaxBatchAge = 100 * time.Millisecond
+	telemetryPruneEvery  = 5 * time.Second
+)
+
 // TelemetryOptions tunes the whole self-hosted telemetry pipeline. The
 // zero value picks sensible defaults everywhere.
 type TelemetryOptions struct {
-	// Sink configures the buffering side (capacity, flush period). The
-	// Governor field is owned by the pipeline and overwritten.
-	Sink obs.SinkOptions
+	// FlushEvery is how often the writer pulls spans from the sink's
+	// buffer (default 25ms).
+	FlushEvery time.Duration
 	// BudgetPct is the end-to-end overhead budget (percent) the sampling
 	// governor targets. 0 defers to the DSN's ?telemetrybudget option and
 	// then DefaultTelemetryBudgetPct; negative disables the governor (every
 	// span is kept).
 	BudgetPct float64
-	// GroupSize caps the entries committed in one writer transaction
-	// (default 512).
-	GroupSize int
-	// MaxBatchAge bounds how long a sub-GroupSize group may wait before it
-	// is committed anyway (default 100ms).
-	MaxBatchAge time.Duration
-	// QueueBatches bounds the writer queue, in sink batches (default 64).
-	// A full queue fails Store — the sink counts the error and the spans
-	// are shed, never the workload blocked.
-	QueueBatches int
 	// RetainAge prunes spans and slow-log rows whose start_time is older
 	// (0 disables age pruning).
 	RetainAge time.Duration
@@ -168,9 +167,6 @@ type TelemetryOptions struct {
 	// oldest span ids beyond it. 0 picks DefaultTelemetryRetainRows;
 	// negative disables the cap.
 	RetainRows int
-	// PruneEvery is the retention sweep cadence on the writer goroutine
-	// (default 5s). A final sweep always runs at Close.
-	PruneEvery time.Duration
 	// HistoryEvery turns on the continuous-observability layer: every
 	// HistoryEvery the writer goroutine scrapes the metric registry into
 	// obs.DefaultHistory, mirrors the sample into PERFDMF_METRICS_HISTORY,
@@ -180,20 +176,11 @@ type TelemetryOptions struct {
 }
 
 func (o TelemetryOptions) withDefaults() TelemetryOptions {
-	if o.GroupSize <= 0 {
-		o.GroupSize = 512
-	}
-	if o.MaxBatchAge <= 0 {
-		o.MaxBatchAge = 100 * time.Millisecond
-	}
-	if o.QueueBatches <= 0 {
-		o.QueueBatches = 64
+	if o.FlushEvery <= 0 {
+		o.FlushEvery = 25 * time.Millisecond
 	}
 	if o.RetainRows == 0 {
 		o.RetainRows = DefaultTelemetryRetainRows
-	}
-	if o.PruneEvery <= 0 {
-		o.PruneEvery = 5 * time.Second
 	}
 	return o
 }
@@ -206,33 +193,36 @@ var (
 	mTelGroupRows     = obs.Default.Histogram("obs_telemetry_group_commit_rows")
 	mTelWriterErrors  = obs.Default.Counter("obs_telemetry_writer_errors_total")
 	mTelWriterStalls  = obs.Default.Counter("obs_telemetry_writer_stalls_total")
-	mTelQueueDrops    = obs.Default.Counter("obs_telemetry_writer_queue_drops_total")
 	mTelPrunedSpans   = obs.Default.Counter("obs_telemetry_pruned_spans_total")
 	mTelPrunedSlow    = obs.Default.Counter("obs_telemetry_pruned_slowlog_total")
 	mTelPruneRuns     = obs.Default.Counter("obs_telemetry_prune_runs_total")
 )
 
-// TelemetryStore persists span batches through an ordinary godbc
-// connection. Store (the obs.TelemetrySink callback) only enqueues: a
-// dedicated writer goroutine owns the connection, coalesces queued batches
-// into group commits with relaxed durability, and prunes the telemetry
-// tables on a timer. A batch acknowledged by Store (nil error) is
-// guaranteed to be committed by the time Close returns, unless the commit
+// TelemetryStore persists spans through an ordinary godbc connection. It
+// owns an obs.TelemetrySink (not started: nothing flushes it on a timer)
+// and one writer goroutine that owns the connection, pulls the sink's
+// buffer into its pending list, commits it in groups with relaxed
+// durability, and prunes the telemetry tables on a timer. Every span the
+// sink accepted is committed by the time Close returns, unless the commit
 // itself failed — which is counted and reported, never silent.
 type TelemetryStore struct {
 	conn    *conn
 	insSpan Stmt
 	insSlow Stmt
 	gov     *obs.Governor
+	sink    *obs.TelemetrySink
 	opts    TelemetryOptions
 
-	queue    chan []obs.SinkEntry
+	// pending holds entries pulled from the sink but not yet committed;
+	// only the writer goroutine touches it. queued mirrors its length for
+	// the catalog.
+	pending []obs.SinkEntry
+	queued  atomic.Int64
+
 	flushReq chan chan error
 	stopCh   chan struct{}
 	done     chan struct{}
-
-	queued atomic.Int64 // entries accepted but not yet committed
-	closed atomic.Bool
+	active   atomic.Bool // installed by StartTelemetry and not yet stopped
 
 	// Continuous-observability state (history.go). insHist is nil when
 	// HistoryEvery is 0; the map/slice/time fields are owned by the writer
@@ -254,8 +244,8 @@ type TelemetryStore struct {
 // (mem: names and file: directories share one engine across connections),
 // so the telemetry lands next to the profile data and is queryable with the
 // same SQL. The sampling governor is created here from the resolved budget
-// (options, then ?telemetrybudget, then the default); retrieve it with
-// Governor to wire the sink.
+// (options, then ?telemetrybudget, then the default), and so is the sink the
+// writer pulls from; StartTelemetry installs it.
 func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error) {
 	o = o.withDefaults()
 	dc, err := Open(dsn)
@@ -311,11 +301,11 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 		insSlow:  insSlow,
 		gov:      gov,
 		opts:     o,
-		queue:    make(chan []obs.SinkEntry, o.QueueBatches),
 		flushReq: make(chan chan error),
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	ts.sink = obs.NewTelemetrySink(ts.take, obs.SinkOptions{Governor: gov})
 	if o.HistoryEvery > 0 {
 		if err := ts.openObservability(); err != nil {
 			insSpan.Close()
@@ -341,38 +331,17 @@ func (o connOptions) telemetryBudget(explicit float64) float64 {
 	return o.budget
 }
 
-// Governor returns the store's sampling governor, nil when the budget is
-// disabled.
-func (ts *TelemetryStore) Governor() *obs.Governor { return ts.gov }
-
-// QueuedEntries returns the entries accepted by Store but not yet
-// committed.
-func (ts *TelemetryStore) QueuedEntries() int { return int(ts.queued.Load()) }
-
-// Store hands one sink batch to the writer goroutine. It never blocks: a
-// full queue (the writer has fallen behind by QueueBatches flushes) fails
-// the batch, which the sink counts as a store error. It satisfies the
-// obs.TelemetrySink store callback.
-func (ts *TelemetryStore) Store(batch []obs.SinkEntry) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	if ts.closed.Load() {
-		return fmt.Errorf("godbc: telemetry store is closed")
-	}
-	select {
-	case ts.queue <- batch:
-		ts.queued.Add(int64(len(batch)))
-		return nil
-	default:
-		mTelQueueDrops.Add(int64(len(batch)))
-		return fmt.Errorf("godbc: telemetry writer queue full (%d batches pending)", cap(ts.queue))
-	}
+// take is the sink's store callback: the writer's pulls hand it the
+// entries, and it appends them to pending.
+func (ts *TelemetryStore) take(batch []obs.SinkEntry) error {
+	ts.pending = append(ts.pending, batch...)
+	ts.queued.Add(int64(len(batch)))
+	return nil
 }
 
-// Flush blocks until every batch acknowledged so far has been committed
-// (or the store has shut down). Tests and one-shot tools use it; the
-// steady-state pipeline never needs a barrier.
+// Flush blocks until every span the sink accepted before the call has been
+// committed (or the store has shut down). Tests and one-shot tools use it;
+// the steady-state pipeline never needs a barrier.
 func (ts *TelemetryStore) Flush() error {
 	ack := make(chan error, 1)
 	select {
@@ -388,18 +357,20 @@ func (ts *TelemetryStore) Flush() error {
 	}
 }
 
-// writer is the group-commit loop: it owns the store's connection, absorbs
-// queued sink batches, commits them in bounded groups when the size or age
-// trigger fires, runs retention sweeps, and reports every write's duration
-// to the governor. Steady-state commits never wait for the engine's write
-// lock: a refused TryBegin leaves the group pending, reports a governor
-// stall, and retries on the next trigger — only the Flush barrier and the
-// Close drain block for the lock, because their callers need certainty.
+// writer is the store's one goroutine: it owns the connection, pulls the
+// sink's buffer every FlushEvery, commits groups on the size and age
+// triggers, runs retention sweeps, and reports every write's duration to
+// the governor. Steady-state writes never wait for the engine's write
+// lock: a refused TryBegin reports a governor stall and the work waits for
+// the next trigger — only the Flush barrier and the Close drain block for
+// the lock, because their callers need certainty.
 func (ts *TelemetryStore) writer() {
 	defer close(ts.done)
-	age := time.NewTicker(ts.opts.MaxBatchAge)
+	pull := time.NewTicker(ts.opts.FlushEvery)
+	defer pull.Stop()
+	age := time.NewTicker(telemetryMaxBatchAge)
 	defer age.Stop()
-	prune := time.NewTicker(ts.opts.PruneEvery)
+	prune := time.NewTicker(telemetryPruneEvery)
 	defer prune.Stop()
 	// The scrape ticker's channel stays nil (never selected) when the
 	// continuous layer is off.
@@ -409,84 +380,63 @@ func (ts *TelemetryStore) writer() {
 		defer scrape.Stop()
 		scrapeC = scrape.C
 	}
-	var pending []obs.SinkEntry
-	// While commits are stalled behind the workload's write lock, stop
-	// absorbing the queue once a couple of groups are pending: Store's
-	// bound then holds the line (shedding, counted) instead of pending
-	// growing without limit.
-	maxPending := 2 * ts.opts.GroupSize
 	for {
-		queue := ts.queue
-		if len(pending) >= maxPending {
-			queue = nil
-		}
 		select {
-		case b := <-queue:
-			pending = append(pending, b...)
-			for len(pending) >= ts.opts.GroupSize {
-				if ran, _ := ts.commitGroup(pending[:ts.opts.GroupSize], false); !ran {
-					break
-				}
-				pending = pending[ts.opts.GroupSize:]
-			}
+		case <-pull.C:
+			ts.pull(false) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
 		case <-age.C:
-			if len(pending) > 0 {
-				n := len(pending)
-				if n > ts.opts.GroupSize {
-					n = ts.opts.GroupSize
-				}
-				if ran, _ := ts.commitGroup(pending[:n], false); ran {
-					pending = pending[n:]
+			if n := min(len(ts.pending), telemetryGroupSize); n > 0 {
+				if ran, _ := ts.commitGroup(ts.pending[:n], false); ran {
+					ts.pending = ts.pending[n:]
 				}
 			}
 		case ack := <-ts.flushReq:
-			// Commit the pending entries, then one queue's worth — every
-			// batch acknowledged before the Flush. Draining on top of a
-			// pending group, or past one queue while producers refill it,
-			// would let the uncommitted backlog outgrow the queue plus
-			// maxPending.
-			var err error
-			if len(pending) > 0 {
-				_, err = ts.commitGroup(pending, true)
-			}
-			if drained := ts.drainQueue(nil, cap(ts.queue)); len(drained) > 0 {
-				_, derr := ts.commitGroup(drained, true)
-				err = errors.Join(err, derr)
-			}
-			pending = nil
-			ack <- err
+			ack <- ts.pull(true)
 		case <-scrapeC:
 			ts.scrapeTick(time.Now())
 		case <-prune.C:
-			ts.prune()
+			ts.prune(false)
 		case <-ts.stopCh:
-			// Final drain: everything Store acknowledged must reach the
+			// Final drain: everything the sink accepted must reach the
 			// tables before Close returns. Then one last scrape (so the
 			// workload's closing activity makes it into the history) and
-			// one last retention sweep, so short-lived processes still
-			// honour the caps.
-			pending = ts.drainQueue(pending, math.MaxInt)
-			if len(pending) > 0 {
-				ts.commitGroup(pending, true) //nolint:errcheck // counted in obs_telemetry_writer_errors_total
-			}
+			// one last retention sweep, which waits for the write lock so
+			// short-lived processes still honour the caps.
+			ts.closeErr = ts.pull(true)
 			ts.scrapeTick(time.Now())
-			ts.prune()
+			ts.prune(true)
 			return
 		}
 	}
 }
 
-// drainQueue moves up to max queued batches into pending without blocking.
-func (ts *TelemetryStore) drainQueue(pending []obs.SinkEntry, max int) []obs.SinkEntry {
-	for ; max > 0; max-- {
-		select {
-		case b := <-ts.queue:
-			pending = append(pending, b...)
-		default:
-			return pending
+// pull moves spans from the sink's buffer into pending and commits them a
+// group at a time. pending is only ever topped up to two groups, so the
+// sink's bounded buffer is the one place spans wait, and Offer the one
+// place they are dropped. pull takes at most what the sink held on entry,
+// so producers that keep offering cannot hold the writer here. Without
+// wait, a partial group stays for the age trigger and a stall leaves the
+// rest for the next tick; with wait (the Flush barrier and the Close
+// drain) everything is committed.
+func (ts *TelemetryStore) pull(wait bool) error {
+	var err error
+	for left := ts.sink.Buffered(); ; {
+		if room := 2*telemetryGroupSize - len(ts.pending); room > 0 {
+			n := min(left, room)
+			ts.sink.FlushUpTo(n) //nolint:errcheck // take never fails
+			left -= n
 		}
+		n := min(len(ts.pending), telemetryGroupSize)
+		if n == 0 || (n < telemetryGroupSize && !wait) {
+			return err
+		}
+		ran, cerr := ts.commitGroup(ts.pending[:n], wait)
+		if !ran {
+			return err
+		}
+		ts.pending = ts.pending[n:]
+		err = errors.Join(err, cerr)
 	}
-	return pending
 }
 
 // writeTx is the telemetry writer's one write discipline: run write in a
@@ -578,72 +528,103 @@ func (ts *TelemetryStore) insertGroup(group []obs.SinkEntry) error {
 	return nil
 }
 
-// prune enforces the retention policy: rows older than RetainAge go first,
-// then each table is capped at RetainRows by pruning the oldest span ids.
-// It runs on the writer goroutine (the connection's only user) and charges
-// its cost to the governor like any other telemetry write.
-func (ts *TelemetryStore) prune() {
+// prune runs one retention sweep in a single writeTx: rows older than
+// RetainAge go first, then each table is capped at RetainRows by deleting
+// below its RetainRows-th newest key. Span ids are monotonic in start
+// order, so the smallest ids are the oldest rows; history rows share one
+// timestamp per scrape, so their cap is approximate by up to one sample.
+// With the continuous layer on, alert episodes also age out once resolved
+// (open episodes are live state, not history). The periodic sweep does not
+// wait for the write lock: a stall counts in
+// obs_telemetry_writer_stalls_total and the next tick retries. The Close
+// sweep waits, so short runs still honour the caps. Deletions reach the
+// pruned counters only once the sweep commits.
+func (ts *TelemetryStore) prune(wait bool) {
 	if ts.opts.RetainAge <= 0 && ts.opts.RetainRows <= 0 {
 		return
 	}
-	start := time.Now()
-	if ts.opts.RetainAge > 0 {
-		cutoff := time.Now().Add(-ts.opts.RetainAge)
-		ts.pruneAge(SpansTable, cutoff, mTelPrunedSpans)
-		ts.pruneAge(SlowLogTable, cutoff, mTelPrunedSlow)
+	sw := &retentionSweep{c: ts.conn, keep: ts.opts.RetainRows}
+	var spans, slow, hist, alerts int64
+	ran, err := ts.writeTx(wait, func() error {
+		history := ts.historyEnabled()
+		if ts.opts.RetainAge > 0 {
+			cutoff := time.Now().Add(-ts.opts.RetainAge)
+			spans += sw.Exec("DELETE FROM PERFDMF_SPANS WHERE start_time < ?", cutoff)
+			slow += sw.Exec("DELETE FROM PERFDMF_SLOWLOG WHERE start_time < ?", cutoff)
+			if history {
+				hist += sw.Exec("DELETE FROM PERFDMF_METRICS_HISTORY WHERE at < ?", cutoff)
+				alerts += sw.Exec("DELETE FROM PERFDMF_ALERTS WHERE state = 'resolved' AND resolved_at < ?", cutoff)
+			}
+		}
+		if sw.keep > 0 {
+			spans += sw.capRows(SpansTable, "span_id")
+			slow += sw.capRows(SlowLogTable, "span_id")
+			if history {
+				hist += sw.capRows(MetricsHistoryTable, "at")
+			}
+		}
+		return sw.err
+	})
+	if !ran {
+		mTelWriterStalls.Inc()
+		return
 	}
-	if ts.opts.RetainRows > 0 {
-		ts.pruneRows(SpansTable, mTelPrunedSpans)
-		ts.pruneRows(SlowLogTable, mTelPrunedSlow)
-	}
-	ts.pruneObservability()
-	ts.gov.ReportWrite(time.Since(start))
 	mTelPruneRuns.Inc()
+	if err == nil {
+		mTelPrunedSpans.Add(spans)
+		mTelPrunedSlow.Add(slow)
+		mHistPrunedRows.Add(hist)
+		mAlertsPrunedRows.Add(alerts)
+	}
 }
 
-func (ts *TelemetryStore) pruneAge(table string, cutoff time.Time, pruned *obs.Counter) {
-	res, err := ts.conn.Exec("DELETE FROM "+table+" WHERE start_time < ?", cutoff)
-	if err != nil {
-		mTelWriterErrors.Inc()
-		return
-	}
-	pruned.Add(res.RowsAffected)
+// retentionSweep runs one sweep's statements inside the writer's open
+// transaction. The first error sticks: later statements are skipped and
+// writeTx rolls the sweep back.
+type retentionSweep struct {
+	c    *conn
+	keep int // RetainRows
+	err  error
 }
 
-// pruneRows deletes everything older than the RetainRows-th newest span id
-// of the table. Span ids are monotonic in start order, so "oldest rows"
-// and "smallest ids" coincide.
-func (ts *TelemetryStore) pruneRows(table string, pruned *obs.Counter) {
-	rows, err := ts.conn.Query(
-		"SELECT span_id FROM "+table+" ORDER BY span_id DESC LIMIT 1 OFFSET ?",
-		ts.opts.RetainRows-1)
+// Exec runs one DELETE and returns the number of rows it removed.
+func (s *retentionSweep) Exec(query string, arg any) int64 {
+	if s.err != nil {
+		return 0
+	}
+	res, err := s.c.Exec(query, arg)
+	s.err = err
+	return res.RowsAffected
+}
+
+// capRows deletes the table's rows below its keep-th largest key and
+// returns how many went.
+func (s *retentionSweep) capRows(table, key string) int64 {
+	if s.err != nil {
+		return 0
+	}
+	rows, err := s.c.Query("SELECT "+key+" FROM "+table+" ORDER BY "+key+" DESC LIMIT 1 OFFSET ?", s.keep-1)
 	if err != nil {
-		mTelWriterErrors.Inc()
-		return
+		s.err = err
+		return 0
 	}
-	defer rows.Close()
-	if !rows.Next() {
-		return // table is within the cap
+	var keepFrom any
+	if rows.Next() {
+		keepFrom = rows.Value(0)
 	}
-	keepFrom, ok := rows.Value(0).(int64)
 	rows.Close()
-	if !ok {
-		return
+	if keepFrom == nil {
+		return 0 // within the cap
 	}
-	res, err := ts.conn.Exec("DELETE FROM "+table+" WHERE span_id < ?", keepFrom)
-	if err != nil {
-		mTelWriterErrors.Inc()
-		return
-	}
-	pruned.Add(res.RowsAffected)
+	return s.Exec("DELETE FROM "+table+" WHERE "+key+" < ?", keepFrom)
 }
 
-// Close stops the writer (draining everything acknowledged, committing the
-// tail, and running a final retention sweep), then releases the statements
-// and the connection. Closing twice is safe.
+// Close stops the writer (committing everything the sink accepted and
+// running a final retention sweep), then releases the statements and the
+// connection. It returns the final drain's commit error, if any. Closing
+// twice is safe.
 func (ts *TelemetryStore) Close() error {
 	ts.stopOnce.Do(func() {
-		ts.closed.Store(true)
 		close(ts.stopCh)
 		<-ts.done
 		ts.insSpan.Close() //nolint:errcheck
@@ -651,23 +632,17 @@ func (ts *TelemetryStore) Close() error {
 		if ts.insHist != nil {
 			ts.insHist.Close() //nolint:errcheck
 		}
-		ts.closeErr = ts.conn.Close()
+		ts.closeErr = errors.Join(ts.closeErr, ts.conn.Close())
 	})
 	return ts.closeErr
 }
 
 // --- pipeline state: the OBS_TELEMETRY and OBS_ALERT_STATES catalog ---
 
-// telemetryPipeline ties a running sink/store pair together for the
-// catalog. The pointer survives Stop so post-run summaries still see the
-// final counters, with active false.
-type telemetryPipeline struct {
-	sink   *obs.TelemetrySink
-	store  *TelemetryStore
-	active atomic.Bool
-}
-
-var activeTelemetry atomic.Pointer[telemetryPipeline]
+// activeTelemetry is the most recent store StartTelemetry ran, for the
+// catalog. It survives stop so post-run summaries still see the final
+// counters, with active false.
+var activeTelemetry atomic.Pointer[TelemetryStore]
 
 // telemetryCols are OBS_TELEMETRY's columns.
 var telemetryCols = []string{"active", "sample_rate", "budget_pct", "write_overhead_pct",
@@ -679,7 +654,7 @@ var telemetryCols = []string{"active", "sample_rate", "budget_pct", "write_overh
 
 // telemetryRows is OBS_TELEMETRY: exactly one row describing the most
 // recent telemetry pipeline — governor state, queue pressure (sink buffer
-// plus writer queue, against the sink's capacity), lifetime throughput
+// plus the writer's pending entries, against the sink's capacity), lifetime throughput
 // counters, retention, and the continuous layer's scrape freshness and
 // alert counts. When StartTelemetry has never run in this process the row
 // is active=false with every other column NULL, so the table always
@@ -687,18 +662,18 @@ var telemetryCols = []string{"active", "sample_rate", "budget_pct", "write_overh
 // pruning, last_flush_age_sec before the first flush, last_scrape_age_ms
 // without history or before the first scrape.
 func telemetryRows(*reldb.Tx) ([]reldb.Row, error) {
-	p := activeTelemetry.Load()
-	if p == nil {
+	ts := activeTelemetry.Load()
+	if ts == nil {
 		row := make(reldb.Row, len(telemetryCols)) // the zero Value is NULL
 		row[0] = reldb.Bool(false)
 		return []reldb.Row{row}, nil
 	}
-	ts, gov := p.store, p.store.gov
+	gov := ts.gov
 	retainAge, flushAge, scrapeAge := reldb.Null, reldb.Null, reldb.Null
 	if ts.opts.RetainAge > 0 {
 		retainAge = reldb.Float(ts.opts.RetainAge.Seconds())
 	}
-	if at := p.sink.LastFlush(); !at.IsZero() {
+	if at := ts.sink.LastFlush(); !at.IsZero() {
 		flushAge = reldb.Float(time.Since(at).Seconds())
 	}
 	var rules, pending, firing int64
@@ -718,10 +693,10 @@ func telemetryRows(*reldb.Tx) ([]reldb.Row, error) {
 	}
 	counter := func(name string) reldb.Value { return reldb.Int(obs.Default.Counter(name).Value()) }
 	return []reldb.Row{{
-		reldb.Bool(p.active.Load()),
+		reldb.Bool(ts.active.Load()),
 		reldb.Float(gov.Rate()), reldb.Float(gov.BudgetPct()),
 		reldb.Float(gov.OverheadPct()), reldb.Int(gov.Adjustments()),
-		reldb.Int(int64(p.sink.Buffered() + ts.QueuedEntries())), reldb.Int(int64(p.sink.Capacity())),
+		reldb.Int(int64(ts.sink.Buffered()) + ts.queued.Load()), reldb.Int(int64(ts.sink.Capacity())),
 		counter("obs_telemetry_offered_total"), counter("obs_telemetry_sampled_out_total"),
 		counter("obs_telemetry_dropped_total"), counter("obs_telemetry_stored_total"),
 		counter("obs_telemetry_store_errors_total"), reldb.Int(mTelGroupCommits.Value()),
@@ -732,62 +707,35 @@ func telemetryRows(*reldb.Tx) ([]reldb.Row, error) {
 	}}, nil
 }
 
-// FlushTelemetry drains the active pipeline end to end: the sink's buffer
-// into the writer's queue, then the queue through a group commit into the
-// database. It is a barrier — after a nil return, every span the sink had
-// accepted before the call is committed. No-op when no pipeline is running.
+// FlushTelemetry is a barrier on the active pipeline: after a nil return,
+// every span the sink had accepted before the call is committed. No-op
+// when no pipeline is running.
 func FlushTelemetry() error {
-	p := activeTelemetry.Load()
-	if p == nil || !p.active.Load() {
+	ts := activeTelemetry.Load()
+	if ts == nil || !ts.active.Load() {
 		return nil
 	}
-	// Drain the writer's queue first: after a burst it may be full, and a
-	// sink flush into a full queue sheds the batch instead of blocking.
-	// With the queue empty the sink's batch is guaranteed a slot; the
-	// second store flush commits it.
-	if err := p.store.Flush(); err != nil {
-		return err
-	}
-	if err := p.sink.Flush(); err != nil {
-		return err
-	}
-	return p.store.Flush()
+	return ts.Flush()
 }
 
 // StartTelemetry wires the whole self-hosted telemetry path: it opens a
-// TelemetryStore on dsn (starting the group-commit writer), creates the
-// budget governor, starts an obs.TelemetrySink sampling and flushing into
-// the store, and installs the sink globally so every connection's completed
-// spans are captured. The returned stop function uninstalls the sink,
-// flushes the tail through the writer, and closes the store.
+// TelemetryStore on dsn (starting its writer, the pipeline's one
+// goroutine, with the budget governor and the sink it pulls from) and
+// installs the sink globally so every connection's completed spans are
+// captured. The returned stop function uninstalls the sink and closes the
+// store, which commits the tail.
 func StartTelemetry(dsn string, o TelemetryOptions) (stop func() error, err error) {
 	st, err := OpenTelemetryStore(dsn, o)
 	if err != nil {
 		return nil, err
 	}
-	so := o.Sink
-	so.Governor = st.Governor()
-	sink := obs.NewTelemetrySink(st.Store, so)
-	sink.Start()
-	p := &telemetryPipeline{sink: sink, store: st}
-	p.active.Store(true)
-	activeTelemetry.Store(p)
-	obs.InstallSink(sink)
+	st.active.Store(true)
+	activeTelemetry.Store(st)
+	obs.InstallSink(st.sink)
 	return func() error {
 		obs.UninstallSink()
-		// Drain the writer's queue before the sink's final flush: after a
-		// burst the queue may be full, and the tail of the telemetry would
-		// be shed (a counted error) at the very moment a clean drain is
-		// wanted. With the queue emptied the final batch always fits, and
-		// st.Close commits it.
-		err := st.Flush()
-		if cerr := sink.Close(); err == nil {
-			err = cerr
-		}
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-		p.active.Store(false)
+		err := st.Close()
+		st.active.Store(false)
 		return err
 	}, nil
 }

@@ -30,7 +30,7 @@ func hasColumn(t *testing.T, c Conn, table, col string) bool {
 // MetaData), with the legacy rows surviving and reading back as
 // NULL-parented roots next to newly-written tree rows.
 func TestTelemetrySchemaMigration(t *testing.T) {
-	dsn := "mem:telemetry_migrate"
+	dsn := freshMem(t)
 
 	// Recreate the pre-migration world: the original DDL, one span row
 	// written by the old code (no parent_span_id, no root_op).
@@ -59,7 +59,7 @@ func TestTelemetrySchemaMigration(t *testing.T) {
 
 	// Opening the store migrates the schema and seeds span ids above the
 	// legacy maximum.
-	st, err := OpenTelemetryStore(dsn, TelemetryOptions{})
+	st, err := OpenTelemetryStore(dsn, TelemetryOptions{BudgetPct: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +82,11 @@ func TestTelemetrySchemaMigration(t *testing.T) {
 	// New rows written through the migrated store coexist with the legacy
 	// row; a zero ParentID persists as NULL just like pre-migration rows.
 	childID := legacyID + 100
-	if err := st.Store([]obs.SinkEntry{
-		{Span: &obs.Span{ID: childID, ParentID: legacyID, Root: "upload:mig", Kind: "exec",
-			Statement: "INSERT INTO workload ...", Start: time.Now(), Total: time.Millisecond}},
-		{Span: &obs.Span{ID: childID + 1, Root: "upload:mig", Kind: "upload", Name: "upload:mig",
-			Start: time.Now(), Total: time.Millisecond}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil { // writer barrier: make the group commit visible
+	st.sink.Offer(&obs.Span{ID: childID, ParentID: legacyID, Root: "upload:mig", Kind: "exec",
+		Statement: "INSERT INTO workload ...", Start: time.Now(), Total: time.Millisecond}, false)
+	st.sink.Offer(&obs.Span{ID: childID + 1, Root: "upload:mig", Kind: "upload", Name: "upload:mig",
+		Start: time.Now(), Total: time.Millisecond}, false)
+	if err := st.Flush(); err != nil { // writer barrier: make the commit visible
 		t.Fatal(err)
 	}
 

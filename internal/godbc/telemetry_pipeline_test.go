@@ -36,114 +36,126 @@ func telemetryRowCount(t *testing.T, dsn, table string) int64 {
 	return n
 }
 
-// TestTelemetryGroupCommitConcurrent is the writer's -race stress guard:
-// several producers Store batches while another goroutine hammers the
-// Flush barrier. The acknowledged-batch contract must hold exactly — every
-// entry whose Store returned nil is committed — and the accepted-but-
-// uncommitted backlog must stay bounded by the queue geometry, not grow
-// with the workload.
+// TestTelemetryGroupCommitConcurrent is the pipeline's -race stress guard:
+// several producers Offer spans with sampling off, so the sink's buffer is
+// the only place a span can be lost, while one goroutine hammers the
+// FlushTelemetry barrier and another samples OBS_TELEMETRY. Every admitted
+// span must be committed exactly once, every admitted slow span must reach
+// the slow log, and the backlog (sink buffer plus the writer's pending
+// entries) must stay within the buffer plus two groups, not grow with the
+// workload.
 func TestTelemetryGroupCommitConcurrent(t *testing.T) {
 	dsn := freshMem(t)
 	const (
 		producers = 4
-		batches   = 30
-		batchLen  = 7
-		groupSize = 32
-		queueCap  = 8
+		offers    = 2000
+		slowEvery = 7 // span ids divisible by this are offered as slow
 	)
-	st, err := OpenTelemetryStore(dsn, TelemetryOptions{
-		BudgetPct:    -1, // the writer is under test, not the sampler
-		GroupSize:    groupSize,
-		MaxBatchAge:  2 * time.Millisecond,
-		QueueBatches: queueCap,
-		RetainRows:   -1, // retention off: every acknowledged span must survive
+	offered := obs.Default.Counter("obs_telemetry_offered_total")
+	dropped := obs.Default.Counter("obs_telemetry_dropped_total")
+	offeredBefore, droppedBefore := offered.Value(), dropped.Value()
+	stop, err := StartTelemetry(dsn, TelemetryOptions{
+		FlushEvery: time.Millisecond,
+		BudgetPct:  -1, // the writer is under test, not the sampler
+		RetainRows: -1, // retention off: every admitted span must survive
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop() //nolint:errcheck // stopping twice is safe; covers failure paths
+	sink := activeTelemetry.Load().sink
 
-	var acked, rejected atomic.Int64
 	var ids atomic.Int64
-	var maxQueued atomic.Int64
-	sample := func() {
-		q := int64(st.QueuedEntries())
-		for {
-			cur := maxQueued.Load()
-			if q <= cur || maxQueued.CompareAndSwap(cur, q) {
-				return
-			}
-		}
-	}
-
 	var wg sync.WaitGroup
+	sampling := make(chan struct{}) // closed once the sampler has a first reading
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := 0; b < batches; b++ {
-				batch := make([]obs.SinkEntry, batchLen)
-				for i := range batch {
-					batch[i] = obs.SinkEntry{Span: testSpan(ids.Add(1), 0), Slow: i == 0}
-				}
-				if err := st.Store(batch); err != nil {
-					rejected.Add(batchLen) // queue full: shed, never blocked
-				} else {
-					acked.Add(batchLen)
-				}
-				sample()
+			<-sampling
+			for i := 0; i < offers; i++ {
+				id := ids.Add(1)
+				sink.Offer(testSpan(id, 0), id%slowEvery == 0)
 			}
 		}()
 	}
-	flushStop := make(chan struct{})
-	var flushWG sync.WaitGroup
-	flushWG.Add(1)
+	done := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
 	go func() {
-		defer flushWG.Done()
+		defer bg.Done()
 		for {
 			select {
-			case <-flushStop:
+			case <-done:
 				return
 			default:
-				if err := st.Flush(); err != nil {
-					t.Error(err)
-					return
-				}
-				sample()
+			}
+			if err := FlushTelemetry(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var maxDepth, capacity int64
+	go func() {
+		defer bg.Done()
+		for first := true; ; first = false {
+			rows, err := QueryCatalog("SELECT queue_depth, queue_capacity FROM OBS_TELEMETRY")
+			if first {
+				close(sampling)
+			}
+			if err != nil || len(rows) != 1 {
+				t.Errorf("OBS_TELEMETRY = %v, %v", rows, err)
+				return
+			}
+			depth, _ := rows[0]["queue_depth"].(int64)
+			capacity, _ = rows[0]["queue_capacity"].(int64)
+			maxDepth = max(maxDepth, depth)
+			select {
+			case <-done:
+				return
+			default:
 			}
 		}
 	}()
 	wg.Wait()
-	close(flushStop)
-	flushWG.Wait()
+	close(done)
+	bg.Wait()
+	if err := FlushTelemetry(); err != nil {
+		t.Fatal(err)
+	}
+	// Stop before reading the tables back: the reads' own spans would
+	// otherwise reach the installed sink with ids from the shared counter.
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 
-	if err := st.Flush(); err != nil {
+	admitted := offered.Value() - offeredBefore
+	if lost := int64(producers*offers) - admitted - (dropped.Value() - droppedBefore); lost != 0 {
+		t.Fatalf("%d offers neither admitted nor dropped at the sink", lost)
+	}
+	if spans := telemetryRowCount(t, dsn, SpansTable); spans != admitted {
+		t.Fatalf("%d spans persisted, %d admitted by the sink", spans, admitted)
+	}
+	var slowAdmitted int64
+	c := openT(t, dsn)
+	rows, err := c.Query("SELECT span_id FROM " + SpansTable)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if q := st.QueuedEntries(); q != 0 {
-		t.Fatalf("queued entries after final flush = %d, want 0", q)
+	for rows.Next() {
+		if id, _ := rows.Value(0).(int64); id%slowEvery == 0 {
+			slowAdmitted++
+		}
 	}
-	spans := telemetryRowCount(t, dsn, SpansTable)
-	if spans != acked.Load() {
-		t.Fatalf("lost acknowledged entries: %d spans persisted, %d acknowledged (%d rejected)",
-			spans, acked.Load(), rejected.Load())
+	rows.Close()
+	if slow := telemetryRowCount(t, dsn, SlowLogTable); slow != slowAdmitted {
+		t.Fatalf("slowlog rows = %d, want %d (one per admitted slow span)", slow, slowAdmitted)
 	}
-	slow := telemetryRowCount(t, dsn, SlowLogTable)
-	if want := acked.Load() / batchLen; slow != want {
-		t.Fatalf("slowlog rows = %d, want %d (one per acknowledged batch)", slow, want)
+	if bound := capacity + 2*telemetryGroupSize; capacity == 0 || maxDepth > bound {
+		t.Fatalf("queue_depth reached %d, bound %d (capacity %d + two groups)", maxDepth, bound, capacity)
 	}
-	// Bounded backlog: channel capacity + the writer's in-flight group and
-	// partial batch. Far below the workload total, which is the point.
-	bound := int64(queueCap*batchLen + 2*groupSize + batchLen)
-	if m := maxQueued.Load(); m > bound {
-		t.Fatalf("queued backlog reached %d entries, bound %d", m, bound)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Store after Close is a clean, counted error — not a panic or a hang.
-	if err := st.Store([]obs.SinkEntry{{Span: testSpan(ids.Add(1), 0)}}); err == nil {
-		t.Fatal("Store on a closed store succeeded")
-	}
+	t.Logf("admitted %d, dropped %d, max queue_depth %d", admitted, dropped.Value()-droppedBefore, maxDepth)
 }
 
 // TestTelemetryRetention: the writer's shutdown sweep enforces both caps —
@@ -158,7 +170,6 @@ func TestTelemetryRetention(t *testing.T) {
 		BudgetPct:  -1,
 		RetainRows: 10,
 		RetainAge:  30 * time.Minute,
-		PruneEvery: time.Hour, // only the Close sweep runs in this test
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,15 +177,11 @@ func TestTelemetryRetention(t *testing.T) {
 	// 40 fresh spans (every 4th slow) + 10 ancient ones. The age rule
 	// removes the ancient 10; the row cap then trims the fresh 40 to the
 	// newest 10.
-	var batch []obs.SinkEntry
 	for i := 0; i < 40; i++ {
-		batch = append(batch, obs.SinkEntry{Span: testSpan(int64(i+1), 0), Slow: i%4 == 0})
+		st.sink.Offer(testSpan(int64(i+1), 0), i%4 == 0)
 	}
 	for i := 0; i < 10; i++ {
-		batch = append(batch, obs.SinkEntry{Span: testSpan(int64(i+100), 2*time.Hour), Slow: true})
-	}
-	if err := st.Store(batch); err != nil {
-		t.Fatal(err)
+		st.sink.Offer(testSpan(int64(i+100), 2*time.Hour), true)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
@@ -216,40 +223,61 @@ func TestTelemetryRetention(t *testing.T) {
 	}
 }
 
-// TestTelemetryStoreNeverBlocks pins Store's non-blocking contract in
-// isolation: with the writer wedged (none running at all), the queue
-// absorbs its capacity, then sheds with a counted error — synchronously,
-// with no goroutine to rescue a blocked send.
-func TestTelemetryStoreNeverBlocks(t *testing.T) {
-	ts := &TelemetryStore{
-		queue:    make(chan []obs.SinkEntry, 2),
-		flushReq: make(chan chan error),
-		stopCh:   make(chan struct{}),
-		done:     make(chan struct{}),
-		opts:     TelemetryOptions{}.withDefaults(),
+// TestTelemetryPruneStallsBehindWorkload: a periodic retention sweep obeys
+// the writer's write rules. While another connection holds a transaction
+// the sweep returns at once and counts one stall instead of queueing
+// behind the workload; once the lock is free it runs as one relaxed
+// commit, not an fsync of its own under sync=1.
+func TestTelemetryPruneStallsBehindWorkload(t *testing.T) {
+	dsn := "file:" + t.TempDir() + "?sync=1"
+	st, err := OpenTelemetryStore(dsn, TelemetryOptions{
+		FlushEvery: time.Hour, // only the barrier pulls; the test drives prune itself
+		BudgetPct:  -1,
+		RetainAge:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch := []obs.SinkEntry{{Span: testSpan(1, 0)}, {Span: testSpan(2, 0)}}
-	dropsBefore := mTelQueueDrops.Value()
-	for i := 0; i < 2; i++ {
-		if err := ts.Store(batch); err != nil {
-			t.Fatalf("Store %d with queue space: %v", i, err)
-		}
+	defer st.Close()
+	for i := int64(1); i <= 5; i++ {
+		st.sink.Offer(testSpan(i, 2*time.Hour), false) // older than RetainAge
 	}
-	if q := ts.QueuedEntries(); q != 4 {
-		t.Fatalf("queued = %d, want 4", q)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	err := ts.Store(batch) // queue full; must return, not block
-	if err == nil || !strings.Contains(err.Error(), "queue full") {
-		t.Fatalf("full-queue Store error = %v", err)
+
+	c := openT(t, dsn)
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
 	}
-	if d := mTelQueueDrops.Value() - dropsBefore; d != 2 {
-		t.Fatalf("obs_telemetry_writer_queue_drops_total moved by %d, want 2 (one per shed entry)", d)
+	stalls := mTelWriterStalls.Value()
+	swept := make(chan struct{})
+	go func() {
+		st.prune(false)
+		close(swept)
+	}()
+	select {
+	case <-swept:
+	case <-time.After(2 * time.Second):
+		c.Rollback() //nolint:errcheck // unblock the sweep before failing
+		<-swept
+		t.Fatal("retention sweep blocked behind another connection's transaction")
 	}
-	if q := ts.QueuedEntries(); q != 4 {
-		t.Fatalf("queued after shed = %d, want 4 (shed batch not counted)", q)
+	if d := mTelWriterStalls.Value() - stalls; d != 1 {
+		t.Fatalf("obs_telemetry_writer_stalls_total moved by %d, want 1", d)
 	}
-	if err := ts.Store(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
+	if err := c.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	relaxed := obs.Default.Counter("reldb_wal_relaxed_appends_total")
+	relaxedBefore, prunedBefore := relaxed.Value(), mTelPrunedSpans.Value()
+	st.prune(false)
+	if d := mTelPrunedSpans.Value() - prunedBefore; d != 5 {
+		t.Fatalf("obs_telemetry_pruned_spans_total moved by %d, want 5", d)
+	}
+	if relaxed.Value() == relaxedBefore {
+		t.Fatal("the sweep's commit did not take the relaxed WAL path")
 	}
 }
 
@@ -304,7 +332,7 @@ func TestTelemetryBudgetResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := st.Governor(); g == nil || g.BudgetPct() != 2.5 {
+	if g := st.gov; g == nil || g.BudgetPct() != 2.5 {
 		t.Fatalf("governor budget = %v, want 2.5", g.BudgetPct())
 	}
 	st.Close()
@@ -312,7 +340,7 @@ func TestTelemetryBudgetResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Governor() != nil {
+	if st2.gov != nil {
 		t.Fatal("governor present despite disabled budget")
 	}
 	st2.Close()
@@ -323,7 +351,7 @@ func TestTelemetryBudgetResolution(t *testing.T) {
 // final counters intact) after stop.
 func TestCatalogTelemetry(t *testing.T) {
 	dsn := freshMem(t)
-	stop, err := StartTelemetry(dsn, TelemetryOptions{Sink: obs.SinkOptions{FlushEvery: time.Hour}})
+	stop, err := StartTelemetry(dsn, TelemetryOptions{FlushEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +404,7 @@ func TestCatalogTelemetryRow(t *testing.T) {
 	}
 
 	dsn := freshMem(t)
-	stop, err := StartTelemetry(dsn, TelemetryOptions{Sink: obs.SinkOptions{FlushEvery: time.Hour}, RetainRows: 100})
+	stop, err := StartTelemetry(dsn, TelemetryOptions{FlushEvery: time.Hour, RetainRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,13 @@ func TestTelemetrySelfHosted(t *testing.T) {
 	obs.SetSlowQueryThreshold(time.Nanosecond) // everything is "slow"
 	defer obs.SetSlowQueryThreshold(0)
 
-	dsn := "mem:selfhosted"
-	st, err := OpenTelemetryStore(dsn, TelemetryOptions{})
+	dsn := freshMem(t)
+	st, err := OpenTelemetryStore(dsn, TelemetryOptions{FlushEvery: time.Hour}) // only the barrier pulls
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sink := obs.NewTelemetrySink(st.Store, obs.SinkOptions{FlushEvery: time.Hour})
+	sink := st.sink
 	obs.InstallSink(sink)
 	defer obs.UninstallSink()
 
@@ -54,11 +54,7 @@ func TestTelemetrySelfHosted(t *testing.T) {
 	if sink.Buffered() == 0 {
 		t.Fatal("sink buffered nothing despite active statements")
 	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Store is asynchronous now: the sink flush only enqueued the batch.
-	// Flush the store too so the writer's group commit is visible below.
+	// The writer barrier pulls the sink's buffer and commits it.
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +137,10 @@ func TestTelemetrySelfHosted(t *testing.T) {
 	// ...and flushing leaves nothing new behind beyond the verification
 	// queries above (all SELECTs on the traced conn). Drain and re-check:
 	// after a flush with only quiet-connection activity, the buffer is empty.
-	if err := sink.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if n := sink.Buffered(); n != 0 {

@@ -243,15 +243,24 @@ type WindowStats struct {
 // gauges carry their last recorded level forward. ok is false for metrics
 // the ring has never seen.
 func (h *History) Series(metric string, window time.Duration) (kind string, pts []SeriesPoint, ok bool) {
+	kind, pts, _, ok = h.series(metric, window)
+	return kind, pts, ok
+}
+
+// series is Series plus the window's weighted rate: total delta over total
+// elapsed across exactly the returned points (0 for gauges), summed in the
+// same locked pass so the rate and the points describe the same samples.
+func (h *History) series(metric string, window time.Duration) (kind string, pts []SeriesPoint, rate float64, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	kind, known := h.kinds[metric]
 	if !known || len(h.ring) == 0 {
-		return "", nil, false
+		return "", nil, 0, false
 	}
 	cutoff := h.lastAt.Add(-window)
 	var gaugeLevel float64
 	var gaugeSeen bool
+	var sumDelta, sumElapsed float64
 	for i := 0; i < len(h.ring); i++ {
 		s := h.ring[(h.start+i)%len(h.ring)]
 		var p *HistoryPoint
@@ -287,20 +296,25 @@ func (h *History) Series(metric string, window time.Duration) (kind string, pts 
 					p95 = p.P95
 				}
 			}
+			sumDelta += delta
+			sumElapsed += s.Elapsed.Seconds()
 			pts = append(pts, SeriesPoint{At: s.At, Value: delta / s.Elapsed.Seconds(), P95: p95})
 		}
 	}
-	return kind, pts, true
+	if sumElapsed > 0 {
+		rate = sumDelta / sumElapsed
+	}
+	return kind, pts, rate, true
 }
 
 // Window aggregates the metric over the trailing window. ok is false when
 // the metric is unknown or the window holds no observations.
 func (h *History) Window(metric string, window time.Duration) (WindowStats, bool) {
-	kind, pts, known := h.Series(metric, window)
+	kind, pts, rate, known := h.series(metric, window)
 	if !known || len(pts) == 0 {
 		return WindowStats{}, false
 	}
-	st := WindowStats{Metric: metric, Kind: kind, Samples: len(pts)}
+	st := WindowStats{Metric: metric, Kind: kind, Samples: len(pts), RatePerSec: rate}
 	st.WindowSeconds = pts[len(pts)-1].At.Sub(pts[0].At).Seconds()
 	st.Min = pts[0].Value
 	var sum float64
@@ -323,43 +337,5 @@ func (h *History) Window(metric string, window time.Duration) (WindowStats, bool
 	}
 	st.Avg = sum / float64(len(pts))
 	st.Last = pts[len(pts)-1].Value
-	if kind != "gauge" {
-		// Total delta over total elapsed: each point is delta_i/elapsed_i,
-		// so re-weight by the interval each point covers.
-		st.RatePerSec = h.weightedRate(metric, window)
-	}
 	return st, true
-}
-
-// weightedRate recomputes total delta / total elapsed over the window.
-func (h *History) weightedRate(metric string, window time.Duration) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.ring) == 0 {
-		return 0
-	}
-	cutoff := h.lastAt.Add(-window)
-	var delta, elapsed float64
-	for i := 0; i < len(h.ring); i++ {
-		s := h.ring[(h.start+i)%len(h.ring)]
-		if s.At.Before(cutoff) || s.Elapsed <= 0 {
-			continue
-		}
-		elapsed += s.Elapsed.Seconds()
-		for j := range s.Points {
-			if s.Points[j].Name != metric {
-				continue
-			}
-			if s.Points[j].Kind == "histogram" {
-				delta += float64(s.Points[j].DeltaCount)
-			} else {
-				delta += s.Points[j].Value
-			}
-			break
-		}
-	}
-	if elapsed <= 0 {
-		return 0
-	}
-	return delta / elapsed
 }

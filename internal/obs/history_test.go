@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -133,6 +134,53 @@ func TestHistorySeriesAndWindow(t *testing.T) {
 	}
 	if _, ok := h.Window("never_seen_total", time.Minute); ok {
 		t.Fatal("unknown metric window must report ok=false")
+	}
+}
+
+// TestHistoryWindowRateMatchesSeries: RatePerSec is total delta over total
+// elapsed across exactly the samples Series returns. The intervals are
+// unequal and c_total has no point in some samples (other_total moves
+// there), so the weighted rate differs from the mean of the point rates,
+// and a window that cuts the ring must exclude the same samples from both.
+func TestHistoryWindowRateMatchesSeries(t *testing.T) {
+	h := NewHistory(16)
+	t0 := time.Unix(4000, 0)
+	offsets := []time.Duration{0, 500 * time.Millisecond, 2500 * time.Millisecond,
+		3500 * time.Millisecond, 6500 * time.Millisecond, 6750 * time.Millisecond}
+	totals := []int64{0, 4, 4, 10, 10, 13} // no c_total point at 2.5s and 6.5s
+	for i := range offsets {
+		histAt(h, t0.Add(offsets[i]),
+			map[string]int64{"c_total": totals[i], "other_total": int64(i)}, nil, nil)
+	}
+	byAt := make(map[int64]HistorySample)
+	for _, s := range h.Samples() {
+		byAt[s.At.UnixNano()] = s
+	}
+	for _, window := range []time.Duration{time.Minute, 4 * time.Second, time.Second} {
+		_, pts, ok := h.Series("c_total", window)
+		if !ok || len(pts) == 0 {
+			t.Fatalf("window %v: Series ok=%v with %d points", window, ok, len(pts))
+		}
+		var delta, elapsed float64
+		for _, p := range pts {
+			s := byAt[p.At.UnixNano()]
+			elapsed += s.Elapsed.Seconds()
+			for _, hp := range s.Points {
+				if hp.Name == "c_total" {
+					delta += hp.Value
+				}
+			}
+		}
+		st, ok := h.Window("c_total", window)
+		if !ok || st.Samples != len(pts) {
+			t.Fatalf("window %v: Window ok=%v samples=%d, want %d", window, ok, st.Samples, len(pts))
+		}
+		if want := delta / elapsed; math.Abs(st.RatePerSec-want) > 1e-12 {
+			t.Fatalf("window %v: RatePerSec = %v, want %v/%v = %v", window, st.RatePerSec, delta, elapsed, want)
+		}
+		if window == time.Minute && math.Abs(st.RatePerSec-st.Avg) < 1 {
+			t.Fatalf("weighted rate %v too close to the mean point rate %v: intervals not weighted", st.RatePerSec, st.Avg)
+		}
 	}
 }
 

@@ -225,7 +225,7 @@ func TestEndpointGoldenPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop, err := godbc.StartTelemetry(dsn, godbc.TelemetryOptions{
-		Sink:         obs.SinkOptions{FlushEvery: 5 * time.Millisecond},
+		FlushEvery:   5 * time.Millisecond,
 		HistoryEvery: 5 * time.Millisecond,
 	})
 	if err != nil {

@@ -389,7 +389,7 @@ type healthTelemetry struct {
 // (active=false) after the pipeline stops.
 func TestHealthzTelemetryBlock(t *testing.T) {
 	stop, err := godbc.StartTelemetry("mem:healthz_telemetry",
-		godbc.TelemetryOptions{Sink: obs.SinkOptions{FlushEvery: 5 * time.Millisecond}})
+		godbc.TelemetryOptions{FlushEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

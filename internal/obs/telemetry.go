@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -8,10 +9,11 @@ import (
 )
 
 // TelemetrySink batches completed spans (and slow-query entries) and hands
-// them to a storage callback on a background goroutine. The storage side
-// lives elsewhere (godbc persists batches into the PERFDMF_SPANS and
-// PERFDMF_SLOWLOG tables); this type owns the buffering policy and the
-// head-sampling decision:
+// them to a storage callback, either from its own background goroutine
+// (Start) or whenever the storage side pulls with Flush or FlushUpTo. The
+// storage side lives elsewhere (godbc's telemetry writer pulls into the
+// PERFDMF_SPANS and PERFDMF_SLOWLOG tables); this type owns the buffering
+// policy and the head-sampling decision:
 //
 //   - Offer never blocks the query path. The buffer is bounded; when it is
 //     full the entry is dropped and counted in obs_telemetry_dropped_total.
@@ -74,7 +76,7 @@ var (
 )
 
 // NewTelemetrySink returns a sink feeding store. Call Start to launch the
-// background flusher; Flush works without it (tests, one-shot tools).
+// background flusher; Flush works without it (a store that pulls, tests).
 func NewTelemetrySink(store func([]SinkEntry) error, o SinkOptions) *TelemetrySink {
 	if o.Capacity <= 0 {
 		o.Capacity = 4096
@@ -213,10 +215,19 @@ func (s *TelemetrySink) LastFlush() time.Time {
 
 // Flush synchronously stores everything buffered so far. Entries are handed
 // to the store callback outside the buffer lock.
-func (s *TelemetrySink) Flush() error {
+func (s *TelemetrySink) Flush() error { return s.FlushUpTo(math.MaxInt) }
+
+// FlushUpTo is Flush bounded to the n oldest buffered entries, for a store
+// that takes only what it has room for. With n <= 0 it stores nothing but
+// still counts as a completed flush.
+func (s *TelemetrySink) FlushUpTo(n int) error {
 	s.mu.Lock()
 	batch := s.buf
-	s.buf = nil
+	if n = max(n, 0); n < len(batch) {
+		batch, s.buf = batch[:n:n], batch[n:]
+	} else {
+		s.buf = nil
+	}
 	s.mu.Unlock()
 	if len(batch) == 0 {
 		s.lastFlush.Store(time.Now().UnixNano())

@@ -62,6 +62,39 @@ func TestSinkBackpressure(t *testing.T) {
 	}
 }
 
+// TestSinkFlushUpTo: a bounded flush hands the store the oldest n entries
+// in offer order and leaves the rest buffered for the next one; n = 0
+// stores nothing but still completes a flush.
+func TestSinkFlushUpTo(t *testing.T) {
+	var got []int64
+	s := NewTelemetrySink(func(batch []SinkEntry) error {
+		for _, e := range batch {
+			got = append(got, e.Span.ID)
+		}
+		return nil
+	}, SinkOptions{Capacity: 8})
+	for i := int64(1); i <= 5; i++ {
+		s.Offer(&Span{ID: i, Kind: "exec"}, false)
+	}
+	if err := s.FlushUpTo(0); err != nil || s.Buffered() != 5 || len(got) != 0 || s.LastFlush().IsZero() {
+		t.Fatalf("FlushUpTo(0): err %v, buffered %d, stored %v, last flush %v; want an empty completed flush",
+			err, s.Buffered(), got, s.LastFlush())
+	}
+	if err := s.FlushUpTo(2); err != nil {
+		t.Fatal(err)
+	}
+	if s.Buffered() != 3 || fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("after FlushUpTo(2): stored %v, buffered %d", got, s.Buffered())
+	}
+	s.Offer(&Span{ID: 6, Kind: "exec"}, false)
+	if err := s.FlushUpTo(10); err != nil { // more than buffered: takes all
+		t.Fatal(err)
+	}
+	if s.Buffered() != 0 || fmt.Sprint(got) != "[1 2 3 4 5 6]" {
+		t.Fatalf("after FlushUpTo(10): stored %v, buffered %d", got, s.Buffered())
+	}
+}
+
 // TestSinkFlushAndClose checks batching, the stored counter, error counting,
 // and that Close performs a final flush after stopping the loop.
 func TestSinkFlushAndClose(t *testing.T) {
