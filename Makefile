@@ -6,7 +6,7 @@
 # ordering and span/goroutine lifecycle; see docs/STATIC_ANALYSIS.md),
 # a freshness check on the committed SQL fuzz seed corpus (`seed-check`),
 # full build, the race-enabled test suite, a 10-second fuzz pass over the
-# SQL parser, the reldb value codec, the columnar segment encoders and
+# SQL parser, the reldb value codec and snapshot loader, the columnar segment encoders and
 # the index-join/hash-join differential (`fuzz-smoke`), and one-shot smoke runs of the observability
 # benchmark, the serve binary, the persisted span-tree pipeline
 # (`trace-smoke`), the introspection catalog (`catalog-smoke`), the
@@ -74,7 +74,9 @@ race:
 # FuzzParse runs the parser over the committed SQL seed corpus
 # (internal/sqlparse/testdata/sql_seed.txt, regenerated with
 # `make seed-corpus` and checked by `seed-check`) plus mutations; FuzzValueRoundTrip pounds
-# the reldb snapshot/WAL value codec; FuzzSegmentRoundTrip drives the
+# the reldb snapshot/WAL value codec and FuzzValueDecode feeds it arbitrary
+# bytes; FuzzSnapshotLoad truncates and bit-flips a version 3 snapshot,
+# which must load to the original state or fail; FuzzSegmentRoundTrip drives the
 # columnar segment encoders (raw/FOR/RLE ints, dict/raw strings) from
 # the committed corpus in internal/reldb/testdata/fuzz;
 # FuzzJoinIndexDifferential checks that index nested-loop joins return
@@ -84,16 +86,19 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzValueDecode$$' -fuzztime 10s ./internal/reldb
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRoundTrip$$' -fuzztime 10s ./internal/reldb
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinIndexDifferential$$' -fuzztime 10s ./internal/sqlexec
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenDSN$$' -fuzztime 10s ./internal/godbc
 
-# One iteration per sub-benchmark: proves the observability guard and the
-# E1 full-trial load and upload benchmarks still compile and run. Real
-# numbers come from `make bench`.
+# One iteration per sub-benchmark: proves the observability guard, the
+# E1 full-trial load and upload benchmarks and the archive reopen benchmark
+# still compile and run. Real numbers come from `make bench`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench ObsOverhead -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E1LargeTrial(Load|Upload)/threads-512$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkReopen$$' -benchtime 1x -benchmem .
 
 # Boot `perfdmf serve` on an ephemeral port, scrape /healthz and /metrics,
 # and assert both respond, that /healthz carries the telemetry block, and

@@ -99,6 +99,54 @@ func BenchmarkE1LargeTrialLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkReopen measures opening a durable archive: the snapshot load and
+// index rebuild every analysis session pays first. The archive holds one
+// E1-style trial (512 threads × 101 events) and four smaller ones; it is
+// checkpointed once up front, and each iteration times only the open (the
+// close, which checkpoints again, runs off the clock).
+func BenchmarkReopen(b *testing.B) {
+	dsn := "file:" + b.TempDir()
+	s, err := core.Open(dsn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := &core.Application{Name: "bench"}
+	if err := s.SaveApplication(app); err != nil {
+		b.Fatal(err)
+	}
+	s.SetApplication(app)
+	exp := &core.Experiment{Name: "bench"}
+	if err := s.SaveExperiment(exp); err != nil {
+		b.Fatal(err)
+	}
+	s.SetExperiment(exp)
+	points := 0
+	for i, threads := range []int{512, 64, 64, 32, 32} {
+		p := synth.LargeTrial(synth.LargeTrialConfig{Threads: threads, Events: 101, Metrics: 1, Seed: int64(i + 1)})
+		if _, err := s.UploadTrial(p, core.UploadOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		points += p.DataPoints()
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := core.Open(dsn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(points), "points")
+}
+
 // BenchmarkE1SummaryQuery measures the selective query the paper's API is
 // designed for (no full-trial load).
 func BenchmarkE1SummaryQuery(b *testing.B) {

@@ -62,6 +62,74 @@ func TestTrialRoutineStats(t *testing.T) {
 	}
 }
 
+// TestTrialStatsMatchesMetricJoin pins trialStats to the statement it
+// replaced, which joined the metric table to match the metric by name: on
+// trials with two metrics each, every routine's statistics must be the
+// same to the bit, and so must the wall time.
+func TestTrialStatsMatchesMetricJoin(t *testing.T) {
+	s, trials := scalingArchive(t, []int{2, 4})
+	for i := int64(0); i < 2; i++ {
+		p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 6, Events: 9, Metrics: 2, Seed: 20 + i})
+		trial, err := s.UploadTrial(p, core.UploadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials = append(trials, trial)
+	}
+	checked := 0
+	for _, tr := range trials {
+		s.SetTrial(tr)
+		metrics, err := s.MetricList()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metrics {
+			got, wall, ok, err := trialStats(s, tr.ID, m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := s.Conn().Query(`
+				SELECT e.name, MIN(p.exclusive), AVG(p.exclusive), MAX(p.exclusive), STDDEV(p.exclusive),
+					MAX(p.inclusive)
+				FROM interval_event e
+				JOIN interval_location_profile p ON p.interval_event = e.id
+				JOIN metric m ON p.metric = m.id
+				WHERE e.trial = ? AND m.name = ?
+				GROUP BY e.name`, tr.ID, m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]RoutineStats{}
+			var wantWall float64
+			for rows.Next() {
+				var r RoutineStats
+				var maxInc float64
+				if err := rows.Scan(&r.Name, &r.Min, &r.Mean, &r.Max, &r.StdDev, &maxInc); err != nil {
+					t.Fatal(err)
+				}
+				want[r.Name] = r
+				wantWall = max(wantWall, maxInc)
+			}
+			rows.Close()
+			if len(want) == 0 || len(got) != len(want) {
+				t.Fatalf("trial %d metric %s: %d routines, want %d", tr.ID, m.Name, len(got), len(want))
+			}
+			for name, w := range want {
+				if got[name] != w {
+					t.Errorf("trial %d metric %s routine %s: got %+v, want %+v", tr.ID, m.Name, name, got[name], w)
+				}
+			}
+			if !ok || wall != wantWall {
+				t.Errorf("trial %d metric %s: wall %v (ok %v), want %v", tr.ID, m.Name, wall, ok, wantWall)
+			}
+			checked++
+		}
+	}
+	if checked != 6 {
+		t.Fatalf("checked %d trial metrics, want 6", checked)
+	}
+}
+
 func TestSpeedupStudy(t *testing.T) {
 	s, trials := scalingArchive(t, []int{1, 2, 4, 8, 16, 32})
 	study, err := Speedup(s, trials, "TIME")

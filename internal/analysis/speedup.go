@@ -36,16 +36,17 @@ func TrialRoutineStats(s *core.DataSession, trialID int64, metric string) (map[s
 // trialStats is TrialRoutineStats plus, from the same grouped statement,
 // each routine's largest inclusive value. wall is the largest of those: the
 // maximum inclusive value of any (event, thread) pair, which is the trial's
-// application wall time; ok is false when no pair has one.
+// application wall time; ok is false when no pair has one. The metric is
+// matched by id against the trial's own metrics rather than joined: a join
+// would copy every profile row once more only to read the metric's name.
 func trialStats(s *core.DataSession, trialID int64, metric string) (stats map[string]RoutineStats, wall float64, ok bool, err error) {
 	rows, err := s.Conn().Query(`
 		SELECT e.name, MIN(p.exclusive), AVG(p.exclusive), MAX(p.exclusive), STDDEV(p.exclusive),
 			MAX(p.inclusive)
 		FROM interval_event e
 		JOIN interval_location_profile p ON p.interval_event = e.id
-		JOIN metric m ON p.metric = m.id
-		WHERE e.trial = ? AND m.name = ?
-		GROUP BY e.name`, trialID, metric)
+		WHERE e.trial = ? AND p.metric IN (SELECT id FROM metric WHERE trial = ? AND name = ?)
+		GROUP BY e.name`, trialID, trialID, metric)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -390,6 +390,63 @@ func TestSaveDerivedMetric(t *testing.T) {
 	}
 }
 
+// countRows returns SELECT COUNT(*) FROM table.
+func countRows(t *testing.T, s *DataSession, table string) int64 {
+	t.Helper()
+	rows, err := s.Conn().Query("SELECT COUNT(*) FROM " + table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var n int64
+	if !rows.Next() {
+		t.Fatalf("COUNT(*) FROM %s returned no row", table)
+	}
+	if err := rows.Scan(&n); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestDeleteTrialAtomic: a DeleteTrial whose last delete fails (here, on
+// a dropped analysis_result table) must leave the trial whole. Its deletes
+// once ran one autocommit statement at a time, so the profile and event
+// rows were gone by the time it failed, and LoadTrial then returned an
+// empty trial.
+func TestDeleteTrialAtomic(t *testing.T) {
+	s := openSession(t)
+	trial := setupTrial(t, s, sampleProfile("kept"))
+	tables := []string{
+		"metric", "interval_event", "interval_location_profile",
+		"interval_total_summary", "interval_mean_summary",
+		"atomic_event", "atomic_location_profile", "trial",
+	}
+	before := make(map[string]int64, len(tables))
+	for _, table := range tables {
+		if before[table] = countRows(t, s, table); before[table] == 0 {
+			t.Fatalf("fixture has no %s rows", table)
+		}
+	}
+	if _, err := s.Conn().Exec("DROP TABLE analysis_result"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteTrial(trial.ID); err == nil {
+		t.Fatal("DeleteTrial succeeded without an analysis_result table")
+	}
+	for _, table := range tables {
+		if n := countRows(t, s, table); n != before[table] {
+			t.Errorf("%s: %d rows after the failed delete, want %d", table, n, before[table])
+		}
+	}
+	p, err := s.LoadTrial(trial.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.DataPoints() == 0 {
+		t.Fatal("trial lost its data points")
+	}
+}
+
 func TestDeleteTrial(t *testing.T) {
 	s := openSession(t)
 	trial := setupTrial(t, s, sampleProfile("doomed"))

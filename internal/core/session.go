@@ -373,8 +373,12 @@ func (s *DataSession) AtomicEventList() ([]*AtomicEvent, error) {
 }
 
 // DeleteTrial removes a trial and all of its dependent rows, children
-// first so the archive is consistent at every step.
+// first, in one transaction: a delete that fails rolls back the ones before
+// it, so a trial row never outlives its events and profiles.
 func (s *DataSession) DeleteTrial(trialID int64) error {
+	if err := s.conn.Begin(); err != nil {
+		return err
+	}
 	for _, sql := range []string{
 		`DELETE FROM interval_location_profile WHERE interval_event IN
 			(SELECT id FROM interval_event WHERE trial = ?)`,
@@ -391,8 +395,12 @@ func (s *DataSession) DeleteTrial(trialID int64) error {
 		`DELETE FROM trial WHERE id = ?`,
 	} {
 		if _, err := s.conn.Exec(sql, trialID); err != nil {
+			s.conn.Rollback() //nolint:errcheck // surfacing the original error
 			return err
 		}
+	}
+	if err := s.conn.Commit(); err != nil {
+		return err
 	}
 	if s.trial != nil && s.trial.ID == trialID {
 		s.trial = nil

@@ -224,6 +224,9 @@ func (tx *Tx) CreateTable(schema *Schema) error {
 	if err := schema.validate(); err != nil {
 		return err
 	}
+	if len(schema.Columns) == 0 {
+		return fmt.Errorf("reldb: table %s has no columns", schema.Name)
+	}
 	key := strings.ToLower(schema.Name)
 	if tx.db.tables[key] != nil {
 		return fmt.Errorf("reldb: table %s already exists", schema.Name)
@@ -365,7 +368,7 @@ func (tx *Tx) CreateIndex(name, table string, columns []string, kind IndexKind, 
 	if err != nil {
 		return err
 	}
-	if err := ix.rebuild(t.rows); err != nil {
+	if err := ix.rebuild(t.rows, t.live); err != nil {
 		return err
 	}
 	t.indexes[key] = ix

@@ -1,7 +1,6 @@
 package reldb
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
 )
@@ -41,7 +40,7 @@ func FuzzValueRoundTrip(f *testing.F) {
 		putValue(&enc, v)
 		encoded := append([]byte(nil), enc.Bytes()...)
 
-		d := &reader{r: bufio.NewReader(bytes.NewReader(encoded))}
+		d := &reader{b: encoded}
 		got := d.value()
 		if d.err != nil {
 			t.Fatalf("decode %+v (bytes %x): %v", v, encoded, d.err)
@@ -66,8 +65,28 @@ func FuzzValueDecode(f *testing.F) {
 	f.Add([]byte{1, 0x80})
 	f.Add([]byte{3, 0xff, 0xff, 0xff})
 	f.Add([]byte{99, 1, 2, 3})
+	for _, in := range hugeLengthInputs {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := &reader{r: bufio.NewReader(bytes.NewReader(data))}
+		d := &reader{b: data}
 		_ = d.value()
 	})
+}
+
+// hugeLengthInputs are string values whose declared length no input could
+// back: (1<<63)-1 and 1<<32-1 bytes. Decoding them once allocated the
+// declared length up front and panicked.
+var hugeLengthInputs = [][]byte{
+	{3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f},
+}
+
+func TestValueDecodeHugeLength(t *testing.T) {
+	for _, in := range hugeLengthInputs {
+		d := &reader{b: in}
+		if v := d.value(); d.err == nil {
+			t.Errorf("decode %x = %+v, want an error", in, v)
+		}
+	}
 }

@@ -86,8 +86,8 @@ func encodeKey(vals []Value) string {
 	return b.String()
 }
 
-// key extracts the index key values from a row; ok is false when any
-// indexed column is NULL (the row is then not indexed).
+// key extracts a composite index's key values from a row; ok is false
+// when any indexed column is NULL (the row is then not indexed).
 func (ix *Index) key(row Row) ([]Value, bool) {
 	vals := make([]Value, len(ix.cols))
 	for i, c := range ix.cols {
@@ -101,51 +101,68 @@ func (ix *Index) key(row Row) ([]Value, bool) {
 }
 
 // insert indexes row at slot. It reports a uniqueness violation as an error
-// before modifying the index.
+// before modifying the index. A single-column key is the row's cell itself,
+// so only composite keys allocate.
 func (ix *Index) insert(row Row, slot int) error {
-	vals, ok := ix.key(row)
-	if !ok {
+	if ix.multi != nil {
+		vals, ok := ix.key(row)
+		if !ok {
+			return nil
+		}
+		k := encodeKey(vals)
+		if ix.Unique && len(ix.multi[k]) > 0 {
+			return ix.duplicate()
+		}
+		ix.multi[k] = append(ix.multi[k], slot)
 		return nil
 	}
-	if ix.Unique && len(ix.lookupVals(vals)) > 0 {
-		return fmt.Errorf("reldb: unique index %s: duplicate value", ix.Name)
+	v := row[ix.cols[0]]
+	if v.IsNull() {
+		return nil
 	}
-	switch {
-	case ix.multi != nil:
-		k := encodeKey(vals)
-		ix.multi[k] = append(ix.multi[k], slot)
-	case ix.hash != nil:
-		ix.hash[vals[0]] = append(ix.hash[vals[0]], slot)
-	default:
-		ix.tree.insert(vals[0], slot)
+	if ix.hash != nil {
+		slots := ix.hash[v]
+		if ix.Unique && len(slots) > 0 {
+			return ix.duplicate()
+		}
+		ix.hash[v] = append(slots, slot)
+		return nil
 	}
+	if ix.Unique && len(ix.tree.get(v)) > 0 {
+		return ix.duplicate()
+	}
+	ix.tree.insert(v, slot)
 	return nil
+}
+
+func (ix *Index) duplicate() error {
+	return fmt.Errorf("reldb: unique index %s: duplicate value", ix.Name)
 }
 
 // remove un-indexes row at slot.
 func (ix *Index) remove(row Row, slot int) {
-	vals, ok := ix.key(row)
-	if !ok {
+	if ix.multi != nil {
+		if vals, ok := ix.key(row); ok {
+			removeKeySlot(ix.multi, encodeKey(vals), slot)
+		}
 		return
 	}
+	v := row[ix.cols[0]]
 	switch {
-	case ix.multi != nil:
-		k := encodeKey(vals)
-		slots := removeSlot(ix.multi[k], slot)
-		if len(slots) == 0 {
-			delete(ix.multi, k)
-		} else {
-			ix.multi[k] = slots
-		}
+	case v.IsNull():
 	case ix.hash != nil:
-		slots := removeSlot(ix.hash[vals[0]], slot)
-		if len(slots) == 0 {
-			delete(ix.hash, vals[0])
-		} else {
-			ix.hash[vals[0]] = slots
-		}
+		removeKeySlot(ix.hash, v, slot)
 	default:
-		ix.tree.remove(vals[0], slot)
+		ix.tree.remove(v, slot)
+	}
+}
+
+// removeKeySlot removes slot from key k's slot list, and k once it has none.
+func removeKeySlot[K comparable](m map[K][]int, k K, slot int) {
+	if slots := removeSlot(m[k], slot); len(slots) > 0 {
+		m[k] = slots
+	} else {
+		delete(m, k)
 	}
 }
 
@@ -234,13 +251,19 @@ func (ix *Index) scanRange(lo, hi bound, fn func(slot int) bool) {
 	})
 }
 
-// rebuild clears and re-populates the index from the table rows.
-func (ix *Index) rebuild(rows []Row) error {
+// rebuild clears and re-populates the index from the table rows, live of
+// them non-nil. Only a unique hash is presized, to one key per live row: a
+// non-unique index may hold far fewer keys than rows.
+func (ix *Index) rebuild(rows []Row, live int) error {
+	size := 0
+	if ix.Unique {
+		size = live
+	}
 	switch {
 	case ix.multi != nil:
-		ix.multi = make(map[string][]int, len(rows))
+		ix.multi = make(map[string][]int, size)
 	case ix.hash != nil:
-		ix.hash = make(map[Value][]int, len(rows))
+		ix.hash = make(map[Value][]int, size)
 	default:
 		ix.tree = newBtree()
 	}

@@ -9,8 +9,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,7 +41,7 @@ const (
 	snapFile  = "data.snap"
 	walFile   = "data.wal"
 	snapMagic = 0x5044_4D46 // "PDMF"
-	snapVer   = 2           // 1: no generation
+	snapVer   = 3           // 1: row-wise, no generation; 2: row-wise; 3: column-wise row groups
 
 	// walMagic opens a stamped WAL. Read as the length field of an
 	// unstamped WAL's first batch it would declare exabytes, so the two
@@ -98,18 +100,19 @@ func Open(dir string, opts Options) (*DB, error) {
 	snapPath := filepath.Join(dir, snapFile)
 	if f, err := os.Open(snapPath); err == nil {
 		start := time.Now()
-		err = db.loadSnapshot(bufio.NewReaderSize(f, 1<<20))
+		fi, err := f.Stat()
+		if err == nil {
+			err = db.loadSnapshot(bufio.NewReaderSize(f, 1<<20), fi.Size())
+		}
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("reldb: load snapshot %s: %w", snapPath, err)
 		}
 		mSnapshotLoadNS.Observe(int64(time.Since(start)))
-		if fi, err := os.Stat(snapPath); err == nil {
-			mSnapshotBytes.Set(fi.Size())
-			// The snapshot's mtime is when the last checkpoint completed;
-			// health probes measure checkpoint age from it across restarts.
-			db.lastChk = fi.ModTime()
-		}
+		mSnapshotBytes.Set(fi.Size())
+		// The snapshot's mtime is when the last checkpoint completed;
+		// health probes measure checkpoint age from it across restarts.
+		db.lastChk = fi.ModTime()
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
@@ -242,12 +245,16 @@ func putValue(b *bytes.Buffer, v Value) {
 	case TInt, TBool, TTime:
 		putUvarint(b, uint64(v.I))
 	case TFloat:
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.F))
-		b.Write(tmp[:])
+		putFloat(b, v.F)
 	case TString, TBytes:
 		putString(b, v.S)
 	}
+}
+
+func putFloat(b *bytes.Buffer, f float64) {
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
+	b.Write(tmp[:])
 }
 
 func putRow(b *bytes.Buffer, r Row) {
@@ -286,44 +293,106 @@ func putSchema(b *bytes.Buffer, s *Schema) {
 	}
 }
 
+// indexDef is an index definition as snapshots and WAL records carry it.
+type indexDef struct {
+	name    string
+	columns []string
+	kind    IndexKind
+	unique  bool
+}
+
+func putIndexDef(b *bytes.Buffer, def indexDef) {
+	putString(b, def.name)
+	putUvarint(b, uint64(len(def.columns)))
+	for _, c := range def.columns {
+		putString(b, c)
+	}
+	b.WriteByte(byte(def.kind))
+	if def.unique {
+		b.WriteByte(1)
+	} else {
+		b.WriteByte(0)
+	}
+}
+
+// errTruncated reports input that ends early, or a length or count larger
+// than the bytes that remain.
+var errTruncated = errors.New("truncated or corrupt encoding")
+
+// reader decodes the snapshot and WAL encodings from an in-memory buffer.
+// The first failure sets err and empties the buffer, so every later call
+// returns a zero value and a decode loop checks err once at its end.
+// Nothing is allocated on the strength of a length or count the remaining
+// bytes cannot back.
 type reader struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (d *reader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
+func (d *reader) fail(err error) {
+	if d.err == nil {
 		d.err = err
 	}
+	d.b = nil
+}
+
+// done reports the first decode error, or an error if bytes remain.
+func (d *reader) done() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("%d trailing bytes", len(d.b))
+	}
+	return d.err
+}
+
+func (d *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail(errTruncated)
+		return 0
+	}
+	d.b = d.b[n:]
 	return v
 }
 
 func (d *reader) byte() byte {
-	if d.err != nil {
+	if len(d.b) == 0 {
+		d.fail(errTruncated)
 		return 0
 	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = err
-	}
-	return b
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
 }
 
-func (d *reader) str() string {
+// next returns the next n bytes, aliasing the buffer.
+func (d *reader) next(n uint64) []byte {
+	if n > uint64(len(d.b)) {
+		d.fail(errTruncated)
+		return nil
+	}
+	p := d.b[:n:n]
+	d.b = d.b[n:]
+	return p
+}
+
+// count reads the length of a list whose items take at least a byte each.
+func (d *reader) count() int {
 	n := d.uvarint()
-	if d.err != nil {
-		return ""
+	if n > uint64(len(d.b)) {
+		d.fail(errTruncated)
+		return 0
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
-		return ""
+	return int(n)
+}
+
+func (d *reader) str() string { return string(d.next(d.uvarint())) }
+
+func (d *reader) float() float64 {
+	p := d.next(8)
+	if p == nil {
+		return 0
 	}
-	return string(buf)
+	return math.Float64frombits(binary.LittleEndian.Uint64(p))
 }
 
 func (d *reader) value() Value {
@@ -334,27 +403,16 @@ func (d *reader) value() Value {
 	case TInt, TBool, TTime:
 		return Value{T: t, I: int64(d.uvarint())}
 	case TFloat:
-		var tmp [8]byte
-		if _, err := io.ReadFull(d.r, tmp[:]); err != nil {
-			d.err = err
-			return Null
-		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])))
+		return Float(d.float())
 	case TString, TBytes:
 		return Value{T: t, S: d.str()}
 	}
-	if d.err == nil {
-		d.err = fmt.Errorf("reldb: bad value tag %d", t)
-	}
+	d.fail(fmt.Errorf("reldb: bad value tag %d", t))
 	return Null
 }
 
 func (d *reader) row() Row {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	r := make(Row, n)
+	r := make(Row, d.count())
 	for i := range r {
 		r[i] = d.value()
 	}
@@ -376,24 +434,79 @@ func (d *reader) schema() *Schema {
 	s := &Schema{}
 	s.Name = d.str()
 	s.PrimaryKey = d.str()
-	ncols := d.uvarint()
-	for i := uint64(0); i < ncols && d.err == nil; i++ {
-		s.Columns = append(s.Columns, d.column())
+	s.Columns = make([]Column, d.count())
+	for i := range s.Columns {
+		s.Columns[i] = d.column()
 	}
-	nfk := d.uvarint()
-	for i := uint64(0); i < nfk && d.err == nil; i++ {
-		s.ForeignKeys = append(s.ForeignKeys, ForeignKey{
-			Column: d.str(), RefTable: d.str(), RefColumn: d.str(),
-		})
+	s.ForeignKeys = make([]ForeignKey, d.count())
+	for i := range s.ForeignKeys {
+		s.ForeignKeys[i] = ForeignKey{Column: d.str(), RefTable: d.str(), RefColumn: d.str()}
 	}
 	return s
 }
 
+func (d *reader) indexDef() indexDef {
+	def := indexDef{name: d.str(), columns: make([]string, d.count())}
+	for i := range def.columns {
+		def.columns[i] = d.str()
+	}
+	def.kind = IndexKind(d.byte())
+	def.unique = d.byte() == 1
+	return def
+}
+
+// tableTail reads what both snapshot layouts store of a table besides its
+// schema and rows: the free list, then the index definitions.
+func (d *reader) tableTail() ([]int, []indexDef) {
+	free := make([]int, d.count())
+	for i := range free {
+		free[i] = int(d.uvarint())
+	}
+	defs := make([]indexDef, d.count())
+	for i := range defs {
+		defs[i] = d.indexDef()
+	}
+	return free, defs
+}
+
 // --- snapshot ---
+//
+// A version 3 snapshot is the 16-byte header (magic, version, generation)
+// followed by frames. A frame is its payload's length (uvarint), the CRC-32
+// (IEEE) of the payload (4 bytes, little endian) and the payload; the first
+// frame's checksum also covers the header, so no byte of the file goes
+// unchecked. The first frame holds the table count. Each table, in name
+// order, is then one frame of metadata — schema, auto-increment counter,
+// slot count, the free list in LIFO order, index definitions — followed by
+// its live rows in slot order, up to rowGroupRows to a frame (a row group).
+// The slots not on the free list are the live ones, so every row comes back
+// at its slot.
+//
+// A row group is its row count and one block per column. A block is a
+// flags byte, a NULL bitmap if the flags hold blockNulls (bit i set means
+// row i is NULL), the byte length of the values, and the values. With
+// blockTagged they are every cell as a tagged value. Otherwise they are the
+// non-NULL cells in the column's declared type: integers, booleans and
+// times as zigzag varint deltas from the previous cell, floats as 8 bytes
+// little endian, strings and byte strings as a length and the bytes. A
+// block falls back to tagged cells when any cell's type differs from the
+// column's, so no value is ever coerced. The lengths let the loader open a
+// cursor on every block and decode the group row by row.
+//
+// Versions 1 and 2 stored every table row by row (a presence byte, then a
+// row of tagged values, per slot); they still load, and the next checkpoint
+// rewrites them as version 3.
+
+const (
+	rowGroupRows = 4096
+
+	blockNulls  = 1
+	blockTagged = 2
+)
 
 // writeSnapshot writes the database as the snapshot of checkpoint
 // generation gen.
-func (db *DB) writeSnapshot(w *bufio.Writer, gen uint64) error {
+func (db *DB) writeSnapshot(w io.Writer, gen uint64) error {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], snapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], snapVer)
@@ -403,20 +516,18 @@ func (db *DB) writeSnapshot(w *bufio.Writer, gen uint64) error {
 	}
 	var b bytes.Buffer
 	putUvarint(&b, uint64(len(db.tables)))
+	if err := writeFrame(w, crc32.ChecksumIEEE(hdr[:]), b.Bytes()); err != nil {
+		return err
+	}
+	group := make([]Row, 0, rowGroupRows)
+	var encs []colEncoder
 	// Stable order for reproducible snapshots.
 	for _, name := range sortedTableKeys(db.tables) {
 		t := db.tables[name]
+		b.Reset()
 		putSchema(&b, t.schema)
 		putUvarint(&b, uint64(t.autoInc))
 		putUvarint(&b, uint64(len(t.rows)))
-		for _, row := range t.rows {
-			if row == nil {
-				b.WriteByte(0)
-				continue
-			}
-			b.WriteByte(1)
-			putRow(&b, row)
-		}
 		putUvarint(&b, uint64(len(t.free)))
 		for _, s := range t.free {
 			putUvarint(&b, uint64(s))
@@ -424,21 +535,119 @@ func (db *DB) writeSnapshot(w *bufio.Writer, gen uint64) error {
 		putUvarint(&b, uint64(len(t.indexes)))
 		for _, key := range sortedIndexKeys(t.indexes) {
 			ix := t.indexes[key]
-			putString(&b, ix.Name)
-			putUvarint(&b, uint64(len(ix.Columns)))
-			for _, c := range ix.Columns {
-				putString(&b, c)
+			putIndexDef(&b, indexDef{name: ix.Name, columns: ix.Columns, kind: ix.Kind, unique: ix.Unique})
+		}
+		if err := writeFrame(w, 0, b.Bytes()); err != nil {
+			return err
+		}
+		encs = slices.Grow(encs[:0], len(t.schema.Columns))[:len(t.schema.Columns)]
+		live := 0
+		for _, row := range t.rows {
+			if row == nil {
+				continue
 			}
-			b.WriteByte(byte(ix.Kind))
-			if ix.Unique {
-				b.WriteByte(1)
-			} else {
-				b.WriteByte(0)
+			if len(row) != len(t.schema.Columns) {
+				return fmt.Errorf("reldb: table %s: a row holds %d values, want %d",
+					t.schema.Name, len(row), len(t.schema.Columns))
+			}
+			live++
+			if group = append(group, row); len(group) == rowGroupRows {
+				if err := writeRowGroup(w, &b, encs, group, t.schema.Columns); err != nil {
+					return err
+				}
+				group = group[:0]
+			}
+		}
+		if len(group) > 0 {
+			if err := writeRowGroup(w, &b, encs, group, t.schema.Columns); err != nil {
+				return err
+			}
+			group = group[:0]
+		}
+		if live != len(t.rows)-len(t.free) {
+			return fmt.Errorf("reldb: table %s: %d live rows in %d slots, %d of them free",
+				t.schema.Name, live, len(t.rows), len(t.free))
+		}
+	}
+	return nil
+}
+
+// writeFrame writes payload as one frame whose checksum continues from seed.
+func writeFrame(w io.Writer, seed uint32, payload []byte) error {
+	var head [binary.MaxVarintLen64 + 4]byte
+	n := binary.PutUvarint(head[:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(head[n:], crc32.Update(seed, crc32.IEEETable, payload))
+	if _, err := w.Write(head[:n+4]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// colEncoder accumulates one column block of a row group. Row groups are
+// encoded row by row, each cell going to its column's encoder, so rows are
+// read in the order they sit in memory.
+type colEncoder struct {
+	flags byte
+	nulls []byte
+	vals  bytes.Buffer
+	prev  int64 // last integer written, the base of the next delta
+}
+
+// writeRowGroup writes rows as one row group frame, using one encoder per
+// column and b for the payload.
+func writeRowGroup(w io.Writer, b *bytes.Buffer, encs []colEncoder, rows []Row, cols []Column) error {
+	for c := range encs {
+		e := &encs[c]
+		e.flags, e.nulls, e.prev = 0, e.nulls[:0], 0
+		e.vals.Reset()
+	}
+	for _, r := range rows {
+		for c := range encs {
+			if t := r[c].T; t == TNull {
+				encs[c].flags |= blockNulls
+			} else if t != cols[c].Type {
+				encs[c].flags |= blockTagged
 			}
 		}
 	}
-	_, err := w.Write(b.Bytes())
-	return err
+	for i, r := range rows {
+		for c := range encs {
+			e, v := &encs[c], r[c]
+			if e.flags&blockTagged != 0 {
+				putValue(&e.vals, v)
+				continue
+			}
+			if e.flags == blockNulls && i&7 == 0 {
+				e.nulls = append(e.nulls, 0)
+			}
+			switch v.T {
+			case TNull:
+				e.nulls[i>>3] |= 1 << (i & 7)
+			case TInt, TBool, TTime:
+				d := v.I - e.prev
+				putUvarint(&e.vals, uint64(d<<1)^uint64(d>>63))
+				e.prev = v.I
+			case TFloat:
+				putFloat(&e.vals, v.F)
+			case TString, TBytes:
+				putString(&e.vals, v.S)
+			}
+		}
+	}
+	b.Reset()
+	putUvarint(b, uint64(len(rows)))
+	for c := range encs {
+		e := &encs[c]
+		if e.flags&blockTagged != 0 {
+			e.flags = blockTagged
+		}
+		b.WriteByte(e.flags)
+		b.Write(e.nulls)
+		putUvarint(b, uint64(e.vals.Len()))
+		b.Write(e.vals.Bytes())
+	}
+	return writeFrame(w, 0, b.Bytes())
 }
 
 func sortedTableKeys(m map[string]*Table) []string {
@@ -459,84 +668,321 @@ func sortedIndexKeys(m map[string]*Index) []string {
 	return keys
 }
 
-func (db *DB) loadSnapshot(r *bufio.Reader) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// loadSnapshot loads a snapshot of size bytes, any version, from r.
+func (db *DB) loadSnapshot(r *bufio.Reader, size int64) error {
+	var hdr [16]byte
+	n := 8
+	if _, err := io.ReadFull(r, hdr[:n]); err != nil {
 		return err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != snapMagic {
 		return fmt.Errorf("bad magic")
 	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
+	v := binary.LittleEndian.Uint32(hdr[4:])
+	switch v {
 	case 1:
-	case snapVer:
-		var gen [8]byte
-		if _, err := io.ReadFull(r, gen[:]); err != nil {
+	case 2, snapVer:
+		if _, err := io.ReadFull(r, hdr[n:]); err != nil {
 			return err
 		}
-		db.gen = binary.LittleEndian.Uint64(gen[:])
+		n = len(hdr)
+		db.gen = binary.LittleEndian.Uint64(hdr[8:])
 	default:
 		return fmt.Errorf("unsupported snapshot version %d", v)
 	}
-	d := &reader{r: r}
+	if v == snapVer {
+		return db.loadColumnSnapshot(&frameReader{r: r, left: size - int64(n)}, crc32.ChecksumIEEE(hdr[:]))
+	}
+	body := make([]byte, max(size-int64(n), 0))
+	if _, err := io.ReadFull(r, body); err != nil {
+		return err
+	}
+	return db.loadRowSnapshot(&reader{b: body})
+}
+
+// loadRowSnapshot loads the body of a version 1 or 2 snapshot.
+func (db *DB) loadRowSnapshot(d *reader) error {
 	ntab := d.uvarint()
 	for i := uint64(0); i < ntab && d.err == nil; i++ {
-		schema := d.schema()
+		t := newTable(d.schema())
+		t.autoInc = int64(d.uvarint())
+		t.rows = make([]Row, d.count())
+		for s := range t.rows {
+			if d.byte() == 0 {
+				continue
+			}
+			t.rows[s] = d.row()
+			if d.err == nil && len(t.rows[s]) != len(t.schema.Columns) {
+				return fmt.Errorf("table %s: slot %d holds %d values, want %d",
+					t.schema.Name, s, len(t.rows[s]), len(t.schema.Columns))
+			}
+		}
+		free, defs := d.tableTail()
 		if d.err != nil {
 			break
 		}
-		t := newTable(schema)
+		if err := t.schema.validate(); err != nil {
+			return err
+		}
+		isFree, err := t.setFree(free)
+		if err != nil {
+			return err
+		}
+		for s, row := range t.rows {
+			if (row == nil) != isFree[s] {
+				return fmt.Errorf("table %s: slot %d is empty or on the free list, not both",
+					t.schema.Name, s)
+			}
+		}
+		if err := db.addLoadedTable(t, defs); err != nil {
+			return err
+		}
+	}
+	return d.done()
+}
+
+// frameReader reads the frames of a version 3 snapshot, each into the same
+// buffer. left counts the file bytes not yet read: a frame declaring more
+// fails before anything is allocated for it.
+type frameReader struct {
+	r    *bufio.Reader
+	left int64
+	buf  []byte
+}
+
+// next reads the next frame, checks its checksum continued from seed, and
+// returns a reader over its payload, valid until the following call.
+func (f *frameReader) next(seed uint32) (reader, error) {
+	n, err := binary.ReadUvarint(f.r)
+	if err != nil {
+		return reader{}, noEOF(err)
+	}
+	f.left -= int64(bits.Len64(n|1)+6) / 7
+	if n > uint64(max(f.left-4, 0)) {
+		return reader{}, fmt.Errorf("frame of %d bytes overruns the file", n)
+	}
+	var sum [4]byte
+	if _, err := io.ReadFull(f.r, sum[:]); err != nil {
+		return reader{}, noEOF(err)
+	}
+	if uint64(cap(f.buf)) < n {
+		f.buf = make([]byte, n)
+	}
+	f.buf = f.buf[:n]
+	if _, err := io.ReadFull(f.r, f.buf); err != nil {
+		return reader{}, noEOF(err)
+	}
+	f.left -= 4 + int64(n)
+	if crc32.Update(seed, crc32.IEEETable, f.buf) != binary.LittleEndian.Uint32(sum[:]) {
+		return reader{}, fmt.Errorf("frame checksum mismatch")
+	}
+	return reader{b: f.buf}, nil
+}
+
+// noEOF turns io.EOF into io.ErrUnexpectedEOF: a snapshot never ends
+// between the frames its counts promise.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// loadColumnSnapshot loads the frames of a version 3 snapshot; the first
+// frame's checksum continues from seed.
+func (db *DB) loadColumnSnapshot(fr *frameReader, seed uint32) error {
+	d, err := fr.next(seed)
+	if err != nil {
+		return err
+	}
+	ntab := d.uvarint()
+	if err := d.done(); err != nil {
+		return err
+	}
+	var group []Row
+	var cur []colCursor
+	for i := uint64(0); i < ntab; i++ {
+		d, err := fr.next(0)
+		if err != nil {
+			return err
+		}
+		t := newTable(d.schema())
 		t.autoInc = int64(d.uvarint())
 		nslots := d.uvarint()
-		t.rows = make([]Row, 0, nslots)
-		for s := uint64(0); s < nslots && d.err == nil; s++ {
-			if d.byte() == 0 {
-				t.rows = append(t.rows, nil)
-				continue
-			}
-			row := d.row()
-			t.rows = append(t.rows, row)
-			t.live++
+		free, defs := d.tableTail()
+		if err := d.done(); err != nil {
+			return err
 		}
-		nfree := d.uvarint()
-		for s := uint64(0); s < nfree && d.err == nil; s++ {
-			t.free = append(t.free, int(d.uvarint()))
+		if err := t.schema.validate(); err != nil {
+			return err
 		}
-		if t.pk != nil {
-			if err := t.pk.rebuild(t.rows); err != nil {
-				return err
-			}
+		// A live row takes at least one bit of its row group; with no
+		// columns, a group of up to rowGroupRows rows takes at least six
+		// bytes (length, checksum, row count).
+		maxLive := 8 * uint64(fr.left)
+		if len(t.schema.Columns) == 0 {
+			maxLive = uint64(fr.left) / 6 * rowGroupRows
 		}
-		nix := d.uvarint()
-		for s := uint64(0); s < nix && d.err == nil; s++ {
-			name := d.str()
-			ncols := int(d.uvarint())
-			columns := make([]string, ncols)
-			for i := range columns {
-				columns[i] = d.str()
-			}
-			kind := IndexKind(d.byte())
-			unique := d.byte() == 1
-			cols := make([]int, len(columns))
-			for i, column := range columns {
-				pos := schema.ColumnIndex(column)
-				if pos < 0 {
-					return fmt.Errorf("snapshot index %s on unknown column %s", name, column)
-				}
-				cols[i] = pos
-			}
-			ix, err := newIndex(name, schema.Name, columns, cols, kind, unique)
+		if nslots > uint64(len(free))+maxLive {
+			return fmt.Errorf("table %s: %d slots overrun the file", t.schema.Name, nslots)
+		}
+		t.rows = make([]Row, nslots)
+		isFree, err := t.setFree(free)
+		if err != nil {
+			return err
+		}
+		slot := 0
+		for left := t.live; left > 0; left -= len(group) {
+			d, err := fr.next(0)
 			if err != nil {
 				return err
 			}
-			if err := ix.rebuild(t.rows); err != nil {
-				return err
+			n := d.uvarint()
+			if d.err == nil && (n == 0 || n > uint64(min(left, rowGroupRows))) {
+				return fmt.Errorf("table %s: row group of %d rows with %d left", t.schema.Name, n, left)
 			}
-			t.indexes[strings.ToLower(name)] = ix
+			group = group[:0]
+			for range n {
+				for isFree[slot] {
+					slot++
+				}
+				t.rows[slot] = t.newRowBuf()
+				group = append(group, t.rows[slot])
+				slot++
+			}
+			cur = slices.Grow(cur[:0], len(t.schema.Columns))[:len(t.schema.Columns)]
+			if err := decodeRowGroup(&d, cur, group, t.schema.Columns); err != nil {
+				return fmt.Errorf("table %s: row group: %w", t.schema.Name, err)
+			}
 		}
-		db.tables[strings.ToLower(schema.Name)] = t
+		if err := db.addLoadedTable(t, defs); err != nil {
+			return err
+		}
 	}
-	return d.err
+	if fr.left != 0 {
+		return fmt.Errorf("%d bytes after the last table", fr.left)
+	}
+	return nil
+}
+
+// colCursor decodes one column block of a row group, a cell at a time.
+type colCursor struct {
+	reader        // the block's values
+	nulls  []byte // NULL bitmap, or nil
+	typ    Type   // the column's declared type, or TNull for tagged cells
+	prev   int64  // last integer decoded, the base of the next delta
+}
+
+// decodeRowGroup decodes the column blocks d holds into rows, row by row,
+// with one cursor per column block.
+func decodeRowGroup(d *reader, cur []colCursor, rows []Row, cols []Column) error {
+	for c := range cur {
+		k := &cur[c]
+		*k = colCursor{typ: cols[c].Type}
+		switch flags := d.byte(); flags {
+		case 0:
+		case blockNulls:
+			k.nulls = d.next(uint64(len(rows)+7) / 8)
+		case blockTagged:
+			k.typ = TNull
+		default:
+			return fmt.Errorf("bad column block flags %#x", flags)
+		}
+		switch k.typ {
+		case TNull, TInt, TBool, TTime, TFloat, TString, TBytes:
+		default:
+			return fmt.Errorf("column %s of unknown type %d", cols[c].Name, k.typ)
+		}
+		k.b = d.next(d.uvarint())
+	}
+	if err := d.done(); err != nil {
+		return err
+	}
+	for i, r := range rows {
+		for c := range cur {
+			k := &cur[c]
+			if k.nulls != nil && k.nulls[i>>3]&(1<<(i&7)) != 0 {
+				continue
+			}
+			switch k.typ {
+			case TNull:
+				r[c] = k.value()
+			case TInt, TBool, TTime:
+				u := k.uvarint()
+				k.prev += int64(u>>1) ^ -int64(u&1)
+				r[c] = Value{T: k.typ, I: k.prev}
+			case TFloat:
+				r[c] = Float(k.float())
+			default:
+				r[c] = Value{T: k.typ, S: k.str()}
+			}
+		}
+	}
+	for c := range cur {
+		if err := cur[c].done(); err != nil {
+			return fmt.Errorf("column %s: %w", cols[c].Name, err)
+		}
+	}
+	return nil
+}
+
+// setFree installs a loaded free list on t, whose rows hold every slot,
+// and sets its live count. It fails unless every entry names a slot and
+// none repeats, and returns which slots are free.
+func (t *Table) setFree(free []int) ([]bool, error) {
+	isFree := make([]bool, len(t.rows))
+	for _, s := range free {
+		if s < 0 || s >= len(t.rows) {
+			return nil, fmt.Errorf("table %s: free slot %d out of range [0, %d)", t.schema.Name, s, len(t.rows))
+		}
+		if isFree[s] {
+			return nil, fmt.Errorf("table %s: free slot %d listed twice", t.schema.Name, s)
+		}
+		isFree[s] = true
+	}
+	t.free, t.live = free, len(t.rows)-len(free)
+	return isFree, nil
+}
+
+// addLoadedTable rebuilds a loaded table's primary-key index and builds the
+// indexes defs describe, then adds the table to the database.
+func (db *DB) addLoadedTable(t *Table, defs []indexDef) error {
+	key := strings.ToLower(t.schema.Name)
+	if db.tables[key] != nil {
+		return fmt.Errorf("table %s stored twice", t.schema.Name)
+	}
+	if t.pk != nil {
+		if err := t.pk.rebuild(t.rows, t.live); err != nil {
+			return err
+		}
+	}
+	for _, def := range defs {
+		ix, err := t.buildIndex(def)
+		if err != nil {
+			return err
+		}
+		t.indexes[strings.ToLower(def.name)] = ix
+	}
+	db.tables[key] = t
+	return nil
+}
+
+// buildIndex creates the index def describes and fills it from t's rows.
+func (t *Table) buildIndex(def indexDef) (*Index, error) {
+	if def.kind > OrderedIndex {
+		return nil, fmt.Errorf("index %s of unknown kind %d", def.name, def.kind)
+	}
+	cols := make([]int, len(def.columns))
+	for i, column := range def.columns {
+		if cols[i] = t.schema.ColumnIndex(column); cols[i] < 0 {
+			return nil, fmt.Errorf("index %s on unknown column %s", def.name, column)
+		}
+	}
+	ix, err := newIndex(def.name, t.schema.Name, def.columns, cols, def.kind, def.unique)
+	if err != nil {
+		return nil, err
+	}
+	return ix, ix.rebuild(t.rows, t.live)
 }
 
 // --- WAL ---
@@ -696,17 +1142,7 @@ func encodeWALRecord(b *bytes.Buffer, r *walRecord) {
 		putString(b, r.name)
 	case walCreateIndex:
 		putString(b, r.table)
-		putString(b, r.name)
-		putUvarint(b, uint64(len(r.ixColumns)))
-		for _, c := range r.ixColumns {
-			putString(b, c)
-		}
-		b.WriteByte(byte(r.ixKind))
-		if r.unique {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
+		putIndexDef(b, indexDef{name: r.name, columns: r.ixColumns, kind: r.ixKind, unique: r.unique})
 	case walDropIndex:
 		putString(b, r.table)
 		putString(b, r.name)
@@ -781,7 +1217,7 @@ func (db *DB) replayWAL(br *bufio.Reader, start, size int64) (ops int, good int6
 		if crc32.ChecksumIEEE(payload) != want {
 			return ops, good, fmt.Errorf("wal batch checksum mismatch")
 		}
-		d := &reader{r: bufio.NewReader(bytes.NewReader(payload))}
+		d := &reader{b: payload}
 		nrec := d.uvarint()
 		for i := uint64(0); i < nrec; i++ {
 			if err := db.applyWALRecord(d); err != nil {
@@ -868,34 +1304,16 @@ func (db *DB) applyWALRecord(d *reader) error {
 		return t.dropColumn(column)
 	case walCreateIndex:
 		name := d.str()
-		ixName := d.str()
-		ncols := int(d.uvarint())
-		columns := make([]string, ncols)
-		for i := range columns {
-			columns[i] = d.str()
-		}
-		ixKind := IndexKind(d.byte())
-		unique := d.byte() == 1
+		def := d.indexDef()
 		t, err := get(name)
 		if err != nil {
 			return err
 		}
-		cols := make([]int, len(columns))
-		for i, column := range columns {
-			pos := t.schema.ColumnIndex(column)
-			if pos < 0 {
-				return fmt.Errorf("wal index %s on unknown column %s", ixName, column)
-			}
-			cols[i] = pos
-		}
-		ix, err := newIndex(ixName, t.schema.Name, columns, cols, ixKind, unique)
+		ix, err := t.buildIndex(def)
 		if err != nil {
 			return err
 		}
-		if err := ix.rebuild(t.rows); err != nil {
-			return err
-		}
-		t.indexes[strings.ToLower(ixName)] = ix
+		t.indexes[strings.ToLower(def.name)] = ix
 		return nil
 	case walDropIndex:
 		name := d.str()

@@ -486,68 +486,3 @@ func TestCheckpointCrashBeforeWALReset(t *testing.T) {
 		t.Fatalf("after a commit and reopen: %d application rows and %d nokey rows, want 6 and 5", a, n)
 	}
 }
-
-// TestPreGenerationFilesOpen: archives written before checkpoint
-// generations — a version 1 snapshot and a WAL without a header — open
-// with every record, keep logging, and move to the stamped layout at their
-// next checkpoint. A WAL that extends a snapshot newer than the one on
-// disk fails the open instead of replaying onto the wrong state.
-func TestPreGenerationFilesOpen(t *testing.T) {
-	db, dir := openTemp(t, Options{})
-	mustWrite(t, db, func(tx *Tx) error { return tx.CreateTable(appSchema()) })
-	insertApp(t, db, "snap")
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	insertApp(t, db, "wal")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite both files in the old layout: drop the snapshot's generation
-	// (version 1) and the WAL's header.
-	snapPath, walPath := filepath.Join(dir, snapFile), filepath.Join(dir, walFile)
-	snap, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(snap[4:], 1)
-	if err := os.WriteFile(snapPath, append(snap[:8:8], snap[16:]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wal, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(walPath, wal[walHeaderSize:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("open a version 1 snapshot with an unstamped wal: %v", err)
-	}
-	insertApp(t, db2, "legacy-wal")
-	db3 := reopen(t, db2, dir, Options{})
-	want := []string{"snap", "wal", "legacy-wal"}
-	if got := appNames(t, db3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("old-layout archive = %v, want %v", got, want)
-	}
-	if err := db3.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	insertApp(t, db3, "stamped")
-	db4 := reopen(t, db3, dir, Options{})
-	if got := appNames(t, db4); !reflect.DeepEqual(got, append(want, "stamped")) {
-		t.Fatalf("after the first stamped checkpoint = %v", got)
-	}
-	if err := db4.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := os.Remove(snapPath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "newer than the snapshot") {
-		t.Fatalf("open a wal without its snapshot: err=%v, want a generation mismatch", err)
-	}
-}

@@ -59,13 +59,12 @@ func (s *Schema) ColumnNames() []string {
 	return names
 }
 
-// validate checks the schema for internal consistency.
+// validate checks the schema for internal consistency. A schema with no
+// columns passes: dropping a table's last column leaves one, and a
+// snapshot may hold it.
 func (s *Schema) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("reldb: table has no name")
-	}
-	if len(s.Columns) == 0 {
-		return fmt.Errorf("reldb: table %s has no columns", s.Name)
 	}
 	seen := make(map[string]bool, len(s.Columns))
 	for i := range s.Columns {
