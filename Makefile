@@ -64,11 +64,12 @@ test:
 	$(GO) test ./...
 
 # The second pass repeats the telemetry pipeline tests (writer, barrier,
-# retention, catalog row, history loop) 20 times: a flaky barrier shows up
-# as a failed run here, not as a rare failure in one full-suite pass.
+# retention, catalog row, history loop) and the cursor isolation test 20
+# times: a flaky barrier, or a cursor racing a writer, shows up as a failed
+# run here, not as a rare failure in one full-suite pass.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestTelemetry|TestCatalogTelemetry|TestContinuousObservability' ./internal/godbc
+	$(GO) test -race -count=20 -run 'TestTelemetry|TestCatalogTelemetry|TestContinuousObservability|TestCursorIsolation' ./internal/godbc
 
 # 10 seconds of fuzzing per target (Go allows one -fuzz per invocation):
 # FuzzParse runs the parser over the committed SQL seed corpus

@@ -84,6 +84,7 @@ func BenchmarkE1LargeTrialLoad(b *testing.B) {
 				b.Fatal(err)
 			}
 			points := float64(p.DataPoints())
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				loaded, err := s.LoadTrial(trial.ID)
@@ -211,6 +212,7 @@ func BenchmarkE3Speedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		study, err := analysisSpeedup(s, trials)

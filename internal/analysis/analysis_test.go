@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"perfdmf/internal/core"
@@ -13,6 +14,12 @@ var sessCounter int
 // scalingArchive uploads an EVH1-like scaling series and returns the
 // session and its trials.
 func scalingArchive(t *testing.T, procs []int) (*core.DataSession, []*core.Trial) {
+	t.Helper()
+	return scalingArchiveSeed(t, procs, 7)
+}
+
+// scalingArchiveSeed is scalingArchive with the series' seed.
+func scalingArchiveSeed(t *testing.T, procs []int, seed int64) (*core.DataSession, []*core.Trial) {
 	t.Helper()
 	sessCounter++
 	s, err := core.Open(fmt.Sprintf("mem:analysis_%s_%d", t.Name(), sessCounter))
@@ -31,7 +38,7 @@ func scalingArchive(t *testing.T, procs []int) (*core.DataSession, []*core.Trial
 	}
 	s.SetExperiment(exp)
 	var trials []*core.Trial
-	for _, p := range synth.ScalingSeries(synth.ScalingConfig{Procs: procs, Seed: 7}) {
+	for _, p := range synth.ScalingSeries(synth.ScalingConfig{Procs: procs, Seed: seed}) {
 		trial, err := s.UploadTrial(p, core.UploadOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -250,5 +257,31 @@ func TestTopEventsAndGroupBreakdown(t *testing.T) {
 	// Selection restored after TopEvents.
 	if s.Trial() != nil {
 		t.Error("TopEvents leaked trial selection")
+	}
+}
+
+// TestSpeedupAllocBytes pins the bytes one speedup study allocates over
+// the BenchmarkE3Speedup series (1 to 64 processors, seed 11). The grouped
+// statement folds each joined (event, profile row) pair into its
+// aggregation chunk without allocating a row for it.
+func TestSpeedupAllocBytes(t *testing.T) {
+	s, trials := scalingArchiveSeed(t, []int{1, 2, 4, 8, 16, 32, 64}, 11)
+	if _, err := Speedup(s, trials, "TIME"); err != nil { // warm the plan cache
+		t.Fatal(err)
+	}
+	const runs, limit = 10, 512 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Speedup(s, trials, "TIME"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Speedup: %d bytes per study", per)
+	if per > limit {
+		t.Fatalf("Speedup allocated %d bytes per study, want at most %d", per, limit)
 	}
 }

@@ -319,6 +319,94 @@ func TestSummaries(t *testing.T) {
 	}
 }
 
+// TestSummaryMatchesMetricJoin checks the summary statement, which filters
+// on the metric with an IN subquery, against the three-way join with the
+// metric table it replaced: the same rows in the same order, ties
+// included, for every trial, metric and summary table of an archive of
+// three trials.
+func TestSummaryMatchesMetricJoin(t *testing.T) {
+	s := openSession(t)
+	var trials []*Trial
+	for i := 0; i < 3; i++ {
+		p := sampleProfile(fmt.Sprintf("t%d", i))
+		// Two events whose every value ties, so ORDER BY keeps them in
+		// input order; one of them has no group.
+		for _, name := range []string{"tie_a()", "tie_b()"} {
+			group := "TIE"
+			if name == "tie_b()" {
+				group = ""
+			}
+			e := p.AddIntervalEvent(name, group)
+			for _, th := range p.Threads() {
+				d := th.IntervalData(e.ID, 2)
+				d.NumCalls = 4
+				for m := range d.PerMetric {
+					d.PerMetric[m] = model.MetricData{Inclusive: 5e4 + float64(i), Exclusive: 5e4 + float64(i)}
+				}
+			}
+		}
+		if i == 0 {
+			trials = append(trials, setupTrial(t, s, p))
+			continue
+		}
+		tr, err := s.UploadTrial(p, UploadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials = append(trials, tr)
+	}
+	checked := 0
+	for _, tr := range trials {
+		s.SetTrial(tr)
+		for _, table := range []string{"interval_mean_summary", "interval_total_summary"} {
+			for _, metric := range []string{"TIME", "PAPI_FP_OPS", "NOPE"} {
+				got, err := s.summary(table, metric)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := s.Conn().Query(`
+					SELECT e.id, e.name, e.group_name, t.inclusive, t.exclusive,
+					       t.call, t.subroutines, t.exclusive_percentage, t.inclusive_percentage
+					FROM interval_event e
+					JOIN `+table+` t ON t.interval_event = e.id
+					JOIN metric m ON t.metric = m.id
+					WHERE e.trial = ? AND m.name = ?
+					ORDER BY t.exclusive DESC`, tr.ID, metric)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []SummaryRow
+				for rows.Next() {
+					var r SummaryRow
+					var group any
+					if err := rows.Scan(&r.EventID, &r.EventName, &group, &r.Inclusive,
+						&r.Exclusive, &r.Calls, &r.Subrs, &r.ExclPct, &r.InclPct); err != nil {
+						t.Fatal(err)
+					}
+					r.Group, _ = group.(string)
+					want = append(want, r)
+				}
+				rows.Close()
+				if len(got) != len(want) {
+					t.Fatalf("trial %d %s %s: %d rows, want %d", tr.ID, table, metric, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("trial %d %s %s row %d: got %+v, want %+v", tr.ID, table, metric, i, got[i], want[i])
+					}
+				}
+				if metric != "NOPE" && len(want) != 4 {
+					t.Fatalf("trial %d %s %s: %d rows, want 4", tr.ID, table, metric, len(want))
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 18 {
+		t.Fatalf("checked %d summaries, want 18", checked)
+	}
+}
+
 func TestEventProfile(t *testing.T) {
 	s := openSession(t)
 	p := sampleProfile("t")

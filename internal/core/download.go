@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"perfdmf/internal/godbc"
 	"perfdmf/internal/model"
 	"perfdmf/internal/obs"
 )
@@ -44,6 +45,12 @@ func (s *DataSession) LoadTrialCtx(ctx context.Context, trialID int64) (*model.P
 	return p, nil
 }
 
+// loadTrial issues one statement per table it reads: the trial, its
+// metric, interval event and atomic event catalogs, and each location
+// profile table filtered by an IN subquery over the trial's events. The
+// executor answers that IN exactly through the profile table's event
+// index, in slot order, and returns references to the stored rows, so the
+// profile is built straight from the cursor.
 func (s *DataSession) loadTrial(trialID int64) (*model.Profile, error) {
 	rows, err := s.conn.Query("SELECT name, metadata FROM trial WHERE id = ?", trialID)
 	if err != nil {
@@ -70,148 +77,139 @@ func (s *DataSession) loadTrial(trialID int64) (*model.Profile, error) {
 	// Catalogs, with database-ID → model-ID maps.
 	metricOf := make(map[int64]int)
 	rows, err = s.conn.Query("SELECT id, name, derived FROM metric WHERE trial = ? ORDER BY id", trialID)
-	if err != nil {
-		return nil, err
-	}
-	for rows.Next() {
+	err = forEach(rows, err, func() error {
 		var id int64
 		var mname string
 		var derived bool
 		if err := rows.Scan(&id, &mname, &derived); err != nil {
-			rows.Close()
-			return nil, err
+			return err
 		}
 		mid := p.AddMetric(mname)
 		if derived {
 			p.SetDerived(mid)
 		}
 		metricOf[id] = mid
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	rows.Close()
-
-	eventOf := make(map[int64]int)
 	rows, err = s.conn.Query("SELECT id, name, group_name FROM interval_event WHERE trial = ? ORDER BY id", trialID)
+	eventOf, err := eventIDs(rows, err, func(name, group string) int {
+		return p.AddIntervalEvent(name, group).ID
+	})
 	if err != nil {
 		return nil, err
 	}
-	var eventDBIDs []int64
-	for rows.Next() {
-		var id int64
-		var ename string
-		var group any
-		if err := rows.Scan(&id, &ename, &group); err != nil {
-			rows.Close()
-			return nil, err
-		}
-		g, _ := group.(string)
-		eventOf[id] = p.AddIntervalEvent(ename, g).ID
-		eventDBIDs = append(eventDBIDs, id)
-	}
-	rows.Close()
 
-	// Location profiles, one indexed query per event (the ix_ilp_event
-	// index makes each a point lookup).
-	nm := len(p.Metrics())
-	stmt, err := s.conn.Prepare(`SELECT node, context, thread, metric,
-		inclusive, exclusive, call, subroutines
-		FROM interval_location_profile WHERE interval_event = ?`)
-	if err != nil {
-		return nil, err
-	}
-	defer stmt.Close()
 	// The Scan destinations live outside the row loops: taking their
 	// addresses per row would move them to the heap once per row.
-	var node, context, thread, metric int64
-	var incl, excl, calls, subrs float64
-	dest := []any{&node, &context, &thread, &metric, &incl, &excl, &calls, &subrs}
-	for _, dbEvent := range eventDBIDs {
-		rs, err := stmt.Query(dbEvent)
-		if err != nil {
-			return nil, err
+	var event, node, context, thread int64
+	var th *model.Thread
+	// threadOf returns the row's thread. Rows arrive in slot order, which
+	// an upload leaves thread-major, so most rows reuse the last one's.
+	threadOf := func() *model.Thread {
+		id := model.ThreadID{Node: int(node), Context: int(context), Thread: int(thread)}
+		if th == nil || th.ID != id {
+			th = p.Thread(id.Node, id.Context, id.Thread)
 		}
-		mid := eventOf[dbEvent]
-		for rs.Next() {
-			if err := rs.Scan(dest...); err != nil {
-				rs.Close()
-				return nil, err
-			}
-			mm, ok := metricOf[metric]
-			if !ok {
-				rs.Close()
-				return nil, fmt.Errorf("core: profile row references unknown metric %d", metric)
-			}
-			th := p.Thread(int(node), int(context), int(thread))
-			d := th.IntervalData(mid, nm)
-			d.NumCalls = calls
-			d.NumSubrs = subrs
-			d.PerMetric[mm] = model.MetricData{Inclusive: incl, Exclusive: excl}
-		}
-		if err := rs.Err(); err != nil {
-			rs.Close()
-			return nil, err
-		}
-		rs.Close()
+		return th
 	}
-
-	// Atomic events.
-	rows, err = s.conn.Query("SELECT id, name, group_name FROM atomic_event WHERE trial = ? ORDER BY id", trialID)
+	nm := len(p.Metrics())
+	var metric int64
+	var incl, excl, calls, subrs float64
+	dest := []any{&event, &node, &context, &thread, &metric, &incl, &excl, &calls, &subrs}
+	rows, err = s.conn.Query(`SELECT interval_event, node, context, thread, metric,
+		inclusive, exclusive, call, subroutines
+		FROM interval_location_profile
+		WHERE interval_event IN (SELECT id FROM interval_event WHERE trial = ?)`, trialID)
+	err = forEach(rows, err, func() error {
+		if err := rows.Scan(dest...); err != nil {
+			return err
+		}
+		mm, ok := metricOf[metric]
+		if !ok {
+			return fmt.Errorf("core: profile row references unknown metric %d", metric)
+		}
+		d := threadOf().IntervalData(eventOf[event], nm)
+		d.NumCalls = calls
+		d.NumSubrs = subrs
+		d.PerMetric[mm] = model.MetricData{Inclusive: incl, Exclusive: excl}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	atomicOf := make(map[int64]int)
-	var atomicDBIDs []int64
-	for rows.Next() {
-		var id int64
-		var ename string
-		var group any
-		if err := rows.Scan(&id, &ename, &group); err != nil {
-			rows.Close()
-			return nil, err
-		}
-		g, _ := group.(string)
-		atomicOf[id] = p.AddAtomicEvent(ename, g).ID
-		atomicDBIDs = append(atomicDBIDs, id)
+
+	rows, err = s.conn.Query("SELECT id, name, group_name FROM atomic_event WHERE trial = ? ORDER BY id", trialID)
+	atomicOf, err := eventIDs(rows, err, func(name, group string) int {
+		return p.AddAtomicEvent(name, group).ID
+	})
+	if err != nil {
+		return nil, err
 	}
-	rows.Close()
-	if len(atomicDBIDs) > 0 {
-		astmt, err := s.conn.Prepare(`SELECT node, context, thread,
-			sample_count, maximum_value, minimum_value, mean_value, standard_deviation
-			FROM atomic_location_profile WHERE atomic_event = ?`)
-		if err != nil {
-			return nil, err
+	if len(atomicOf) == 0 {
+		return p, nil
+	}
+	var count int64
+	var max, min, mean, stddev float64
+	dest = []any{&event, &node, &context, &thread, &count, &max, &min, &mean, &stddev}
+	rows, err = s.conn.Query(`SELECT atomic_event, node, context, thread,
+		sample_count, maximum_value, minimum_value, mean_value, standard_deviation
+		FROM atomic_location_profile
+		WHERE atomic_event IN (SELECT id FROM atomic_event WHERE trial = ?)`, trialID)
+	err = forEach(rows, err, func() error {
+		if err := rows.Scan(dest...); err != nil {
+			return err
 		}
-		defer astmt.Close()
-		var count int64
-		var max, min, mean, stddev float64
-		dest := []any{&node, &context, &thread, &count, &max, &min, &mean, &stddev}
-		for _, dbEvent := range atomicDBIDs {
-			rs, err := astmt.Query(dbEvent)
-			if err != nil {
-				return nil, err
-			}
-			aid := atomicOf[dbEvent]
-			for rs.Next() {
-				if err := rs.Scan(dest...); err != nil {
-					rs.Close()
-					return nil, err
-				}
-				d := p.Thread(int(node), int(context), int(thread)).AtomicData(aid)
-				d.SampleCount = count
-				d.Maximum = max
-				d.Minimum = min
-				d.Mean = mean
-				// Reconstruct the sum of squares from the stored deviation.
-				n := float64(count)
-				d.SumSqr = (stddev*stddev + mean*mean) * n
-			}
-			if err := rs.Err(); err != nil {
-				rs.Close()
-				return nil, err
-			}
-			rs.Close()
-		}
+		d := threadOf().AtomicData(atomicOf[event])
+		d.SampleCount = count
+		d.Maximum = max
+		d.Minimum = min
+		d.Mean = mean
+		// Reconstruct the sum of squares from the stored deviation.
+		n := float64(count)
+		d.SumSqr = (stddev*stddev + mean*mean) * n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// eventIDs reads an interval or atomic event catalog query (id, name,
+// group_name), registering each event through add, and returns the map
+// from database id to the model id add returned.
+func eventIDs(rows godbc.Rows, err error, add func(name, group string) int) (map[int64]int, error) {
+	of := make(map[int64]int)
+	var id int64
+	var name string
+	var group any
+	err = forEach(rows, err, func() error {
+		if err := rows.Scan(&id, &name, &group); err != nil {
+			return err
+		}
+		g, _ := group.(string)
+		of[id] = add(name, g)
+		return nil
+	})
+	return of, err
+}
+
+// forEach calls fn on every row of a query's cursor, closing the cursor
+// whatever happens; err is the query's error, returned as is.
+func forEach(rows godbc.Rows, err error, fn func() error) error {
+	if err != nil {
+		return err
+	}
+	defer rows.Close()
+	for rows.Next() {
+		if err := fn(); err != nil {
+			return err
+		}
+	}
+	return rows.Err()
 }
 
 // SummaryRow is one event's aggregate data from a summary table.
@@ -247,31 +245,33 @@ func (s *DataSession) summary(table, metricName string) ([]SummaryRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// interval_event is the base table so its trial index drives the plan;
-	// the summary and metric tables hash-join onto it.
+	// interval_event is the base table so its trial index drives the plan,
+	// and the summary table joins onto it. The metric is a filter on the
+	// joined rows rather than a second join, whose rows would each be
+	// copied before the filter could drop them.
 	rows, err := s.conn.Query(`
 		SELECT e.id, e.name, e.group_name, t.inclusive, t.exclusive,
 		       t.call, t.subroutines, t.exclusive_percentage, t.inclusive_percentage
 		FROM interval_event e
 		JOIN `+table+` t ON t.interval_event = e.id
-		JOIN metric m ON t.metric = m.id
-		WHERE e.trial = ? AND m.name = ?
-		ORDER BY t.exclusive DESC`, trialID, metricName)
+		WHERE e.trial = ? AND t.metric IN (SELECT id FROM metric WHERE trial = ? AND name = ?)
+		ORDER BY t.exclusive DESC`, trialID, trialID, metricName)
 	if err != nil {
 		return nil, err
 	}
 	defer rows.Close()
 	var out []SummaryRow
+	// One scan target for every row: Scan's destinations escape, so
+	// fresh ones per row would each be a heap allocation.
+	var r SummaryRow
+	var group any
+	dest := []any{&r.EventID, &r.EventName, &group, &r.Inclusive,
+		&r.Exclusive, &r.Calls, &r.Subrs, &r.ExclPct, &r.InclPct}
 	for rows.Next() {
-		var r SummaryRow
-		var group any
-		if err := rows.Scan(&r.EventID, &r.EventName, &group, &r.Inclusive,
-			&r.Exclusive, &r.Calls, &r.Subrs, &r.ExclPct, &r.InclPct); err != nil {
+		if err := rows.Scan(dest...); err != nil {
 			return nil, err
 		}
-		if g, ok := group.(string); ok {
-			r.Group = g
-		}
+		r.Group, _ = group.(string)
 		out = append(out, r)
 	}
 	return out, rows.Err()

@@ -370,25 +370,30 @@ func (s *stmt) Close() error {
 	return nil
 }
 
-// rows is the materialized cursor. Close releases the materialized result
-// set (the only resource a fully-buffered cursor holds) and exhausts the
-// cursor; it is idempotent, and the column names stay readable afterwards.
+// rows is the one cursor. It reads a result set in either form
+// (sqlexec.ResultSet): projected records, or references to the source rows
+// plus column ordinals, projected as Scan reads them. It holds no lock or
+// transaction: a result's source rows are immutable once published, so
+// writers run while it is open and the rows it returns are the ones the
+// statement saw. Close releases the result set and exhausts the cursor;
+// it is idempotent, and the column names stay readable afterwards.
 type rows struct {
 	cols   []string
-	data   [][]reldb.Value
+	rs     *sqlexec.ResultSet
+	n      int // rows in rs
 	cur    int
 	err    error
 	closed bool
 }
 
 func newRows(rs *sqlexec.ResultSet) *rows {
-	return &rows{cols: rs.Cols, data: rs.Rows, cur: -1}
+	return &rows{cols: rs.Cols, rs: rs, n: rs.Len(), cur: -1}
 }
 
 func (r *rows) Columns() []string { return r.cols }
 
 func (r *rows) Next() bool {
-	if r.closed || r.cur+1 >= len(r.data) {
+	if r.closed || r.cur+1 >= r.n {
 		return false
 	}
 	r.cur++
@@ -396,17 +401,17 @@ func (r *rows) Next() bool {
 }
 
 func (r *rows) Value(i int) any {
-	if r.cur < 0 || r.cur >= len(r.data) || i < 0 || i >= len(r.data[r.cur]) {
+	if r.closed || r.cur < 0 || r.cur >= r.n || i < 0 || i >= len(r.cols) {
 		return nil
 	}
-	return r.data[r.cur][i].Go()
+	return r.rs.At(r.cur, i).Go()
 }
 
 func (r *rows) Err() error { return r.err }
 
 func (r *rows) Close() error {
 	r.closed = true
-	r.data = nil // release the result set for the GC
+	r.rs = nil // release the result set for the GC
 	return nil
 }
 
@@ -414,15 +419,14 @@ func (r *rows) Scan(dest ...any) error {
 	if r.closed {
 		return fmt.Errorf("godbc: Scan on closed rows")
 	}
-	if r.cur < 0 || r.cur >= len(r.data) {
+	if r.cur < 0 || r.cur >= r.n {
 		return fmt.Errorf("godbc: Scan called without Next")
 	}
-	row := r.data[r.cur]
-	if len(dest) != len(row) {
-		return fmt.Errorf("godbc: Scan got %d destinations for %d columns", len(dest), len(row))
+	if len(dest) != len(r.cols) {
+		return fmt.Errorf("godbc: Scan got %d destinations for %d columns", len(dest), len(r.cols))
 	}
 	for i, d := range dest {
-		if err := assign(d, row[i]); err != nil {
+		if err := assign(d, r.rs.At(r.cur, i)); err != nil {
 			return fmt.Errorf("godbc: column %d (%s): %w", i, r.cols[i], err)
 		}
 	}

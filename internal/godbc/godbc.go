@@ -93,9 +93,11 @@ type Result struct {
 	LastInsertID int64
 }
 
-// Rows is a cursor over a query result. It is fully materialized; Close
-// releases the buffered result set, after which the cursor is exhausted
-// (Next reports false). Closing twice is safe.
+// Rows is a cursor over a query result. It holds no lock or transaction
+// between Next calls: the statement's rows are fixed when Query returns,
+// and writers on other connections neither wait for the cursor nor change
+// what it reads. Close releases the result, after which the cursor is
+// exhausted (Next reports false). Closing twice is safe.
 type Rows interface {
 	// Columns returns the result column names.
 	Columns() []string

@@ -111,6 +111,14 @@ type Thread struct {
 	ID       ThreadID
 	interval map[int]*IntervalData
 	atomic   map[int]*AtomicData
+
+	// New interval data is carved from these fixed blocks of hint
+	// entries, hint being the profile's event count when the thread was
+	// created (at least minDataBlock); a block is replaced when used up,
+	// never grown, so carved data never moves.
+	hint      int
+	dataBlock []IntervalData
+	cellBlock []MetricData
 }
 
 // Profile is the common in-memory representation of one trial's parallel
@@ -241,8 +249,9 @@ func (p *Profile) Thread(node, context, thread int) *Thread {
 	if th == nil {
 		th = &Thread{
 			ID:       id,
-			interval: make(map[int]*IntervalData),
+			interval: make(map[int]*IntervalData, len(p.events)),
 			atomic:   make(map[int]*AtomicData),
+			hint:     max(len(p.events), minDataBlock),
 		}
 		p.threads[id] = th
 		p.order = append(p.order, id)
@@ -325,17 +334,37 @@ func (p *Profile) DataPoints() int {
 	return n * len(p.metrics)
 }
 
+// minDataBlock is the fewest interval data entries a thread's block holds.
+const minDataBlock = 16
+
 // IntervalData returns the thread's profile for event (by ID), creating a
 // zero entry if needed.
 func (t *Thread) IntervalData(eventID, numMetrics int) *IntervalData {
 	d := t.interval[eventID]
 	if d == nil {
-		d = &IntervalData{PerMetric: make([]MetricData, numMetrics)}
+		d = t.newIntervalData(numMetrics)
 		t.interval[eventID] = d
 	}
 	for len(d.PerMetric) < numMetrics {
 		d.PerMetric = append(d.PerMetric, MetricData{})
 	}
+	return d
+}
+
+// newIntervalData carves a zero entry with numMetrics metric cells from
+// the thread's blocks. PerMetric's capacity equals its length, so
+// widening it copies instead of writing into a neighbour's cells.
+func (t *Thread) newIntervalData(numMetrics int) *IntervalData {
+	if len(t.dataBlock) == 0 {
+		t.dataBlock = make([]IntervalData, t.hint)
+	}
+	d := &t.dataBlock[0]
+	t.dataBlock = t.dataBlock[1:]
+	if t.cellBlock == nil || len(t.cellBlock) < numMetrics {
+		t.cellBlock = make([]MetricData, t.hint*numMetrics)
+	}
+	d.PerMetric = t.cellBlock[:numMetrics:numMetrics]
+	t.cellBlock = t.cellBlock[numMetrics:]
 	return d
 }
 

@@ -316,24 +316,12 @@ func (tx *Tx) DropColumn(table, column string) error {
 		t.schema.Columns = append(t.schema.Columns, Column{})
 		copy(t.schema.Columns[pos+1:], t.schema.Columns[pos:])
 		t.schema.Columns[pos] = colDef
-		for slot, row := range t.rows {
-			if row == nil {
-				continue
-			}
-			row = append(row, Null)
-			copy(row[pos+1:], row[pos:])
-			row[pos] = saved[slot]
-			t.rows[slot] = row
-		}
-		if t.pk != nil {
-			t.pk.cols[0] = t.schema.ColumnIndex(t.pk.Columns[0])
-		}
-		for _, ix := range t.indexes {
-			for i, icol := range ix.Columns {
-				ix.cols[i] = t.schema.ColumnIndex(icol)
-			}
-		}
-		t.arena = nil
+		t.rebuildRows(len(t.schema.Columns), func(dst, src Row, slot int) {
+			copy(dst, src[:pos])
+			dst[pos] = saved[slot]
+			copy(dst[pos+1:], src[pos:])
+		})
+		t.refreshIndexColumns()
 		t.bumpVersion()
 	}})
 	tx.redo = append(tx.redo, walRecord{kind: walDropColumn, table: t.schema.Name, name: column})
@@ -512,7 +500,8 @@ func (tx *Tx) Delete(table string, slot int) error {
 	return nil
 }
 
-// Scan visits every live row of the table in slot order.
+// Scan visits every live row of the table in slot order. The rows are
+// immutable (see Row): fn may keep them after the transaction ends.
 func (tx *Tx) Scan(table string, fn func(slot int, row Row) bool) error {
 	t, err := tx.Table(table)
 	if err != nil {
@@ -524,8 +513,9 @@ func (tx *Tx) Scan(table string, fn func(slot int, row Row) bool) error {
 
 // ScanPartitioned exposes Table.ScanPartitioned under a transaction: the
 // slot array split into at most n contiguous ranges, delivered in order.
-// The row slices alias live storage and are only safe to read while the
-// transaction is open.
+// The slices alias the slot array and are only safe to read while the
+// transaction is open; the rows in them are immutable (see Row) and may
+// be kept after it ends.
 func (tx *Tx) ScanPartitioned(table string, n int, fn func(part, base int, rows []Row)) error {
 	t, err := tx.Table(table)
 	if err != nil {

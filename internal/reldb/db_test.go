@@ -484,3 +484,84 @@ func TestSchemaValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishedRowsImmutable holds rows fetched under one read transaction
+// across DDL that changes the table's width — DROP COLUMN, a rolled-back
+// DROP COLUMN, and ADD COLUMN after a drop — and checks each keeps every
+// cell it had when fetched.
+func TestPublishedRowsImmutable(t *testing.T) {
+	db := NewMemory()
+	mustWrite(t, db, func(tx *Tx) error {
+		if err := tx.CreateTable(appSchema()); err != nil {
+			return err
+		}
+		if err := tx.AddColumn("application", Column{Name: "note", Type: TString}); err != nil {
+			return err
+		}
+		for _, name := range []string{"a", "b", "c"} {
+			if _, err := tx.Insert("application", Row{Null, Str(name), Str("v" + name), Str("n" + name)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	type held struct {
+		row  Row
+		want []any
+	}
+	var rows []held
+	fetch := func() {
+		t.Helper()
+		db.Read(func(tx *Tx) error {
+			return tx.Scan("application", func(_ int, row Row) bool {
+				h := held{row: row}
+				for _, v := range row {
+					h.want = append(h.want, v.Go())
+				}
+				rows = append(rows, h)
+				return true
+			})
+		})
+	}
+	check := func(step string) {
+		t.Helper()
+		for i, h := range rows {
+			if len(h.row) != len(h.want) {
+				t.Fatalf("%s: held row %d has %d cells, fetched with %d", step, i, len(h.row), len(h.want))
+			}
+			for j, v := range h.row {
+				if v.Go() != h.want[j] {
+					t.Fatalf("%s: held row %d cell %d = %v, fetched as %v", step, i, j, v.Go(), h.want[j])
+				}
+			}
+		}
+	}
+
+	fetch()
+	mustWrite(t, db, func(tx *Tx) error { return tx.DropColumn("application", "version") })
+	check("DROP COLUMN")
+
+	fetch()
+	tx := db.Begin()
+	if err := tx.DropColumn("application", "name"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Rollback()
+	check("rolled-back DROP COLUMN")
+
+	fetch()
+	mustWrite(t, db, func(tx *Tx) error {
+		return tx.AddColumn("application", Column{Name: "extra", Type: TInt, Default: Int(7)})
+	})
+	check("ADD COLUMN after a drop")
+
+	// The table itself took every change.
+	db.Read(func(tx *Tx) error {
+		row := tx.Row("application", 1)
+		if got := []any{row[0].Go(), row[1].Go(), row[2].Go(), row[3].Go()}; len(row) != 4 ||
+			got[1] != "b" || got[2] != "nb" || got[3] != int64(7) {
+			t.Fatalf("table row after DDL: %v", got)
+		}
+		return nil
+	})
+}

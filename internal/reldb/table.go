@@ -8,6 +8,10 @@ import (
 )
 
 // Row is a single table row; cells are ordered as in the table schema.
+// A row is immutable once published into a table: updates store a new
+// row, and DDL that changes a table's width (ADD COLUMN, DROP COLUMN and
+// the rollback of either) builds new rows. A row fetched under a
+// transaction therefore stays valid, and unchanged, after it ends.
 type Row []Value
 
 // clone returns a copy of the row.
@@ -111,10 +115,11 @@ func (t *Table) newRowBuf() Row {
 // ScanPartitioned splits the slot array into at most n contiguous slot
 // ranges of near-equal size and calls fn once per partition, in partition
 // order, with the partition index, the first slot of the range, and the raw
-// row slice (rows[i] is slot base+i; nil entries are free slots). The row
-// slices alias live table storage: callers may hand different partitions to
-// different goroutines, but only for reading, and only while holding the
-// transaction that obtained the table.
+// row slice (rows[i] is slot base+i; nil entries are free slots). The
+// slices alias the table's slot array, which writers change, so they may
+// be read (by any number of goroutines) only while the transaction that
+// obtained the table is open; the rows read from them are immutable (see
+// Row) and may be kept after it ends.
 func (t *Table) ScanPartitioned(n int, fn func(part, base int, rows []Row)) {
 	total := len(t.rows)
 	if total == 0 {
@@ -314,10 +319,9 @@ func (t *Table) row(slot int) Row {
 	return t.rows[slot]
 }
 
-// RowAt returns the live row at slot, or nil. The row aliases table
-// storage; callers may read it only while holding the transaction that
-// obtained the table. The columnar path uses it to materialize group
-// "first" rows from segment slot numbers.
+// RowAt returns the live row at slot, or nil. The row is immutable (see
+// Row), so callers may keep it after the transaction that obtained the
+// table ends; it is the slot, not the row, that a later write changes.
 func (t *Table) RowAt(slot int) Row { return t.row(slot) }
 
 // scan visits every live row in slot order.
@@ -422,14 +426,9 @@ func (t *Table) addColumn(col Column) error {
 		fill = cv
 	}
 	t.schema.Columns = append(t.schema.Columns, col)
-	//lint:allow ctxpoll -- DDL width rebuild mutates rows in place; aborting halfway would corrupt the table
-	for slot, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		t.rows[slot] = append(row, fill)
-	}
-	t.arena = nil // old width; carve fresh blocks at the new width
+	t.rebuildRows(len(t.schema.Columns), func(dst, src Row, _ int) {
+		dst[copy(dst, src)] = fill
+	})
 	t.bumpVersion()
 	return nil
 }
@@ -458,14 +457,17 @@ func (t *Table) dropColumn(name string) error {
 		}
 	}
 	t.schema.Columns = append(t.schema.Columns[:pos], t.schema.Columns[pos+1:]...)
-	//lint:allow ctxpoll -- DDL width rebuild mutates rows in place; aborting halfway would corrupt the table
-	for slot, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		t.rows[slot] = append(row[:pos], row[pos+1:]...)
-	}
-	// Column positions after pos shifted left; refresh index positions.
+	t.rebuildRows(len(t.schema.Columns), func(dst, src Row, _ int) {
+		copy(dst[copy(dst, src[:pos]):], src[pos+1:])
+	})
+	t.refreshIndexColumns()
+	t.bumpVersion()
+	return nil
+}
+
+// refreshIndexColumns recomputes every index's column positions after a
+// column was inserted into or removed from the schema.
+func (t *Table) refreshIndexColumns() {
 	if t.pk != nil {
 		t.pk.cols[0] = t.schema.ColumnIndex(t.pk.Columns[0])
 	}
@@ -474,7 +476,29 @@ func (t *Table) dropColumn(name string) error {
 			ix.cols[i] = t.schema.ColumnIndex(icol)
 		}
 	}
+}
+
+// rebuildRows replaces every live row with a new row of width cells that
+// fill builds from the old row and its slot. Published rows are never
+// written again (see Row), so DDL that changes the width copies. The new
+// rows are carved from blocks as newRowBuf carves them, and the cell arena
+// restarts at the new width.
+func (t *Table) rebuildRows(width int, fill func(dst, src Row, slot int)) {
+	var block []Value
+	//lint:allow ctxpoll -- DDL width rebuild; aborting halfway would leave rows of two widths
+	for slot, row := range t.rows {
+		if row == nil {
+			continue
+		}
+		dst := Row{}
+		if width > 0 {
+			if len(block) < width {
+				block = make([]Value, width*rowArenaBlock)
+			}
+			dst, block = Row(block[:width:width]), block[width:]
+		}
+		fill(dst, row, slot)
+		t.rows[slot] = dst
+	}
 	t.arena = nil
-	t.bumpVersion()
-	return nil
 }

@@ -229,8 +229,8 @@ func TestStatementAccounting(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rs.Rows))
+	if rs.Len() != 6 {
+		t.Fatalf("rows = %d, want 6", rs.Len())
 	}
 	snap := Statements.Snapshot()
 	var found bool
@@ -305,7 +305,7 @@ func TestKillIndexJoinBound(t *testing.T) {
 			t.Fatal("Kill did not find the registered statement")
 		}
 		polled, scanned := q.polled, q.scanned
-		if _, err := q.execJoin(left, 0); !errors.Is(err, ErrStatementKilled) {
+		if err := q.execJoin(left, 0, func(reldb.Row) error { return nil }); !errors.Is(err, ErrStatementKilled) {
 			t.Fatalf("killed join returned %v, want ErrStatementKilled", err)
 		}
 		if !strings.Contains(q.joins[0], "index nested-loop join") {

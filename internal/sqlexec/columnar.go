@@ -229,7 +229,7 @@ func (p *colPred) apply(lo, hi int, pass []bool, sc *colScratch) {
 	hasNulls := seg.HasNulls()
 	switch seg.Type() {
 	case reldb.TInt, reldb.TBool, reldb.TTime:
-		vals := sc.i64[:n]
+		vals := buf(&sc.i64, n)
 		seg.DecodeInts(lo, hi, vals)
 		for i, v := range vals {
 			if !pass[i] {
@@ -247,7 +247,7 @@ func (p *colPred) apply(lo, hi int, pass []bool, sc *colScratch) {
 			}
 		}
 	case reldb.TFloat:
-		vals := sc.f64[:n]
+		vals := buf(&sc.f64, n)
 		seg.DecodeFloats(lo, hi, vals)
 		for i, v := range vals {
 			if !pass[i] {
@@ -358,7 +358,7 @@ func (q *query) compilePredicate(where *program, schema *reldb.Schema) (*colProg
 // evalBlock appends the passing row positions of block [lo,hi) to out.
 func (prog *colProgram) evalBlock(lo, hi int, sc *colScratch, out []int32) []int32 {
 	n := hi - lo
-	pass := sc.pass[:n]
+	pass := buf(&sc.pass, n)
 	for i := range pass {
 		pass[i] = true
 	}
@@ -373,7 +373,9 @@ func (prog *colProgram) evalBlock(lo, hi int, sc *colScratch, out []int32) []int
 	return out
 }
 
-// colScratch is one worker's reusable kernel buffers.
+// colScratch is one worker's reusable kernel buffers. Each is sized by
+// the first kernel that uses it (see buf), so a query allocates only the
+// buffers its column types need.
 type colScratch struct {
 	pass       []bool
 	i64        []int64
@@ -381,22 +383,35 @@ type colScratch struct {
 	i32        []int32
 	strs       []string
 	kv         []reldb.Value
+	ids        []int32 // the positions of an all-rows chunk
 	rowGroups  []*chunkGroup
 	codeGroups []*chunkGroup // single dict group column: code+1 -> group
+	key        []byte        // keyOf key of kv
+	alloc      *groupAlloc
+	// A chunk's groups by key, one map per group-pass shape, cleared and
+	// reused chunk after chunk.
+	intGroups   map[int64]*chunkGroup
+	floatGroups map[uint64]*chunkGroup
+	strGroups   map[string]*chunkGroup
+	keyGroups   map[string]*chunkGroup // by keyOf key
 }
 
-// newColScratch sizes the buffers for blocks of up to rows rows.
-func newColScratch(rows, groupCols, maxDict int) *colScratch {
-	return &colScratch{
-		pass:       make([]bool, rows),
-		i64:        make([]int64, rows),
-		f64:        make([]float64, rows),
-		i32:        make([]int32, rows),
-		strs:       make([]string, rows),
-		kv:         make([]reldb.Value, groupCols),
-		rowGroups:  make([]*chunkGroup, rows),
-		codeGroups: make([]*chunkGroup, maxDict+1),
+// buf returns (*b)[:n], first replacing *b with a buffer of n elements
+// when it holds fewer.
+func buf[T any](b *[]T, n int) []T {
+	if cap(*b) < n {
+		*b = make([]T, n)
 	}
+	return (*b)[:n]
+}
+
+// reuse returns *m emptied, making it on first use.
+func reuse[K comparable](m *map[K]*chunkGroup) map[K]*chunkGroup {
+	if *m == nil {
+		*m = make(map[K]*chunkGroup)
+	}
+	clear(*m)
+	return *m
 }
 
 // colAggSpec is one aggregate call bound to its argument segment.
@@ -475,7 +490,7 @@ func (q *query) tryColumnarAggregate(table string) error {
 	}
 
 	workers := q.opts.effectiveWorkers()
-	sel, err := q.columnarSelect(set, prog, workers)
+	sel, all, err := q.columnarSelect(set, prog, workers)
 	if err != nil {
 		return err
 	}
@@ -486,7 +501,7 @@ func (q *query) tryColumnarAggregate(table string) error {
 		p.Columnar.Add(1)
 	}
 
-	out, keys, err := q.columnarFold(tbl, set, sel, groupCIs, aggCIs, workers)
+	out, keys, err := q.columnarFold(tbl, set, sel, all, groupCIs, aggCIs, workers)
 	if err != nil {
 		return err
 	}
@@ -499,17 +514,14 @@ func (q *query) tryColumnarAggregate(table string) error {
 // returns the global selection vector: passing row positions in row order,
 // identical to the row sequence the row path's scan+filter yields. Workers
 // process partitions concurrently; partition results concatenate in order.
-func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers int) ([]int32, error) {
+// Without predicates every row passes: all is set and sel is nil.
+func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers int) (sel []int32, all bool, err error) {
 	total := set.Rows()
 	if prog.alwaysFalse || total == 0 {
-		return nil, nil
+		return nil, false, nil
 	}
 	if len(prog.preds) == 0 {
-		sel := make([]int32, total)
-		for i := range sel {
-			sel[i] = int32(i)
-		}
-		return sel, nil
+		return nil, true, nil
 	}
 	nparts := max(1, min(workers*partsPerWorker, total))
 	type selPart struct {
@@ -525,8 +537,8 @@ func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers 
 		q.fanOut(workers)
 	}
 	stmt := q.opts.Stmt
-	err := runParts(nparts, workers, stmt, func() func(int) error {
-		sc := newColScratch(min(aggChunkRows, total), 0, 0)
+	err = runParts(nparts, workers, stmt, func() func(int) error {
+		sc := &colScratch{}
 		return func(i int) error {
 			p := parts[i]
 			for lo := p.lo; lo < p.hi; lo += aggChunkRows {
@@ -539,32 +551,27 @@ func (q *query) columnarSelect(set *reldb.SegmentSet, prog *colProgram, workers 
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	n := 0
 	for _, p := range parts {
 		n += len(p.sel)
 	}
-	sel := make([]int32, 0, n)
+	sel = make([]int32, 0, n)
 	for _, p := range parts {
 		sel = append(sel, p.sel...)
 	}
-	return sel, nil
+	return sel, false, nil
 }
 
-// columnarFold chunks the selection vector and folds each chunk with gather
-// kernels into the row path's chunkGroup/aggPartial state, then merges in
-// chunk order and finalizes — the exact pipeline the row path's aggregate
-// runs.
-func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groupCIs, aggCIs []int, workers int) ([][]reldb.Value, [][]reldb.Value, error) {
+// columnarFold chunks the selection vector (every row of the set when all
+// is set) and folds each chunk with gather kernels into the row path's
+// chunkGroup/aggPartial state, then merges in chunk order and finalizes —
+// the exact pipeline the row path's aggregate runs.
+func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, all bool, groupCIs, aggCIs []int, workers int) ([][]reldb.Value, [][]reldb.Value, error) {
 	groups := make([]*reldb.ColumnSegment, len(groupCIs))
-	maxDict := 0
 	for i, ci := range groupCIs {
-		seg := set.Col(ci)
-		groups[i] = seg
-		if seg.IsDict() && len(seg.Dict()) > maxDict {
-			maxDict = len(seg.Dict())
-		}
+		groups[i] = set.Col(ci)
 	}
 	aggs := make([]colAggSpec, len(aggCIs))
 	for i, ci := range aggCIs {
@@ -584,10 +591,21 @@ func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int3
 		aggs[i] = sp
 	}
 
-	return q.foldGroups(len(sel), workers, func(bool) func(lo, hi int) (*aggChunk, error) {
-		sc := newColScratch(min(aggChunkRows, len(sel)), len(groups), maxDict)
+	n := len(sel)
+	if all {
+		n = set.Rows()
+	}
+	return q.foldGroups(n, workers, func(_ bool, alloc *groupAlloc) func(lo, hi int) (*aggChunk, error) {
+		sc := &colScratch{alloc: alloc}
 		return func(lo, hi int) (*aggChunk, error) {
-			return q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, sc), nil
+			if !all {
+				return q.foldColumnarChunk(tbl, set, sel[lo:hi], groups, aggs, sc), nil
+			}
+			ids := buf(&sc.ids, hi-lo)
+			for i := range ids {
+				ids[i] = int32(lo + i)
+			}
+			return q.foldColumnarChunk(tbl, set, ids, groups, aggs, sc), nil
 		}
 	})
 }
@@ -601,12 +619,12 @@ func (q *query) columnarFold(tbl *reldb.Table, set *reldb.SegmentSet, sel []int3
 // from the row path's.
 func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel []int32, groups []*reldb.ColumnSegment, aggs []colAggSpec, sc *colScratch) *aggChunk {
 	n := len(sel)
-	ck := &aggChunk{groups: make(map[string]*chunkGroup)}
-	rowG := sc.rowGroups[:n]
-	kv := sc.kv[:len(groups)]
+	ck := &aggChunk{}
+	rowG := buf(&sc.rowGroups, n)
+	kv := buf(&sc.kv, len(groups))
 	newGroup := func(pos int32) *chunkGroup {
-		g := &chunkGroup{key: keyOf(kv), first: tbl.RowAt(set.Slot(int(pos))), parts: newPartials(q.prog.aggs)}
-		ck.groups[g.key] = g
+		sc.key = appendKey(sc.key[:0], kv)
+		g := sc.alloc.group(string(sc.key), tbl.RowAt(set.Slot(int(pos))))
 		ck.order = append(ck.order, g)
 		return g
 	}
@@ -620,12 +638,10 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 	case len(groups) == 1 && groups[0].IsDict():
 		seg := groups[0]
 		dict := seg.Dict()
-		codes := sc.i32[:n]
+		codes := buf(&sc.i32, n)
 		seg.GatherCodes(sel, codes)
-		cg := sc.codeGroups
-		for i := 0; i <= len(dict); i++ {
-			cg[i] = nil
-		}
+		cg := buf(&sc.codeGroups, len(dict)+1)
+		clear(cg)
 		for i, c := range codes {
 			g := cg[c+1]
 			if g == nil {
@@ -641,10 +657,10 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 		}
 	case len(groups) == 1 && intClass(groups[0].Type()):
 		seg := groups[0]
-		vals := sc.i64[:n]
+		vals := buf(&sc.i64, n)
 		seg.GatherInts(sel, vals)
 		hasNulls := seg.HasNulls()
-		m := make(map[int64]*chunkGroup)
+		m := reuse(&sc.intGroups)
 		var nullG *chunkGroup
 		for i, v := range vals {
 			if hasNulls && !seg.Valid(int(sel[i])) {
@@ -665,11 +681,11 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 		}
 	case len(groups) == 1 && groups[0].Type() == reldb.TFloat:
 		seg := groups[0]
-		vals := sc.f64[:n]
+		vals := buf(&sc.f64, n)
 		seg.GatherFloats(sel, vals)
 		hasNulls := seg.HasNulls()
 		// Keyed by bit pattern, exactly how keyOf distinguishes floats.
-		m := make(map[uint64]*chunkGroup)
+		m := reuse(&sc.floatGroups)
 		var nullG *chunkGroup
 		for i, v := range vals {
 			if hasNulls && !seg.Valid(int(sel[i])) {
@@ -691,10 +707,10 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 		}
 	case len(groups) == 1:
 		seg := groups[0]
-		strs := sc.strs[:n]
+		strs := buf(&sc.strs, n)
 		seg.GatherStrs(sel, strs)
 		hasNulls := seg.HasNulls()
-		m := make(map[string]*chunkGroup)
+		m := reuse(&sc.strGroups)
 		var nullG *chunkGroup
 		for i, v := range strs {
 			if hasNulls && !seg.Valid(int(sel[i])) {
@@ -714,13 +730,16 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 			rowG[i] = g
 		}
 	default:
+		m := reuse(&sc.keyGroups)
 		for i, r := range sel {
 			for c := range groups {
 				kv[c] = groups[c].ValueAt(int(r))
 			}
-			g := ck.groups[keyOf(kv)]
+			sc.key = appendKey(sc.key[:0], kv)
+			g := m[string(sc.key)]
 			if g == nil {
 				g = newGroup(r)
+				m[g.key] = g
 			}
 			rowG[i] = g
 		}
@@ -738,7 +757,7 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 		hasNulls := seg.HasNulls()
 		switch {
 		case seg.IsDict():
-			codes := sc.i32[:n]
+			codes := buf(&sc.i32, n)
 			seg.GatherCodes(sel, codes)
 			dict := seg.Dict()
 			for i, c := range codes {
@@ -760,7 +779,7 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 				}
 			}
 		case intClass(seg.Type()):
-			vals := sc.i64[:n]
+			vals := buf(&sc.i64, n)
 			seg.GatherInts(sel, vals)
 			nonInt := seg.Type() != reldb.TInt
 			for i, v := range vals {
@@ -783,7 +802,7 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 				}
 			}
 		case seg.Type() == reldb.TFloat:
-			vals := sc.f64[:n]
+			vals := buf(&sc.f64, n)
 			seg.GatherFloats(sel, vals)
 			for i, v := range vals {
 				if hasNulls && !seg.Valid(int(sel[i])) {
@@ -804,7 +823,7 @@ func (q *query) foldColumnarChunk(tbl *reldb.Table, set *reldb.SegmentSet, sel [
 				}
 			}
 		default: // raw strings
-			strs := sc.strs[:n]
+			strs := buf(&sc.strs, n)
 			seg.GatherStrs(sel, strs)
 			for i, sv := range strs {
 				if hasNulls && !seg.Valid(int(sel[i])) {

@@ -2,6 +2,8 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
+	mbits "math/bits"
 
 	"perfdmf/internal/reldb"
 	"perfdmf/internal/sqlparse"
@@ -13,10 +15,53 @@ type Result struct {
 	LastInsertID int64 // primary key of the last inserted row, 0 if none
 }
 
-// ResultSet is a materialized query result.
+// ResultSet is a query result in one of two forms. Projected records
+// carry each result row's values in Rows. A SELECT whose items are all
+// plain column references, with no aggregate, DISTINCT or ORDER BY,
+// returns references instead: Refs holds the source rows, Ords the ordinal
+// of each output column in them, and Rows is nil. Source rows are
+// immutable once published (see reldb.Row), so the reference form stays
+// valid after the transaction that produced it ends. Len and At read
+// either form.
 type ResultSet struct {
 	Cols []string
 	Rows [][]reldb.Value
+	Refs []reldb.Row
+	Ords []int
+}
+
+// Len returns the number of result rows.
+func (rs *ResultSet) Len() int {
+	if rs.Ords != nil {
+		return len(rs.Refs)
+	}
+	return len(rs.Rows)
+}
+
+// At returns column j of result row i. A reference past the end of its
+// source row (a null-extended LEFT JOIN row) reads as NULL.
+func (rs *ResultSet) At(i, j int) reldb.Value {
+	if rs.Ords == nil {
+		return rs.Rows[i][j]
+	}
+	if row, o := rs.Refs[i], rs.Ords[j]; o < len(row) {
+		return row[o]
+	}
+	return reldb.Null
+}
+
+// project converts the reference form into projected records.
+func (rs *ResultSet) project() {
+	if rs.Ords == nil {
+		return
+	}
+	recs := newRecords(len(rs.Refs), len(rs.Ords))
+	for i, rec := range recs {
+		for j := range rec {
+			rec[j] = rs.At(i, j)
+		}
+	}
+	rs.Rows, rs.Refs, rs.Ords = recs, nil, nil
 }
 
 // Exec runs a non-SELECT statement inside tx. Transaction-control
@@ -432,9 +477,10 @@ func planAccess(tx *reldb.Tx, table string, where *program, params []reldb.Value
 		}
 	}
 	// IN-lists and IN-subqueries on an indexed column become a union of
-	// point lookups (this keeps e.g. core.DeleteTrial's
-	// "WHERE fk IN (SELECT id ...)" statements off the full-scan path).
-inLists:
+	// point lookups in ascending slot order (this keeps e.g.
+	// core.DeleteTrial's "WHERE fk IN (SELECT id ...)" statements off the
+	// full-scan path). Each lookup is exact, so the union is the conjunct's
+	// answer: exact when it is the only conjunct.
 	for _, c := range conjuncts {
 		if c.op != opIn || c.neg {
 			continue
@@ -443,44 +489,13 @@ inLists:
 		if !okC || !tx.IndexOn(table, col, false) {
 			continue
 		}
-		var vals []reldb.Value
-		if c.sub != nil {
-			rs, err := Query(tx, c.sub.Select, params)
-			if err != nil {
-				return nil, accessDecision{}, err
-			}
-			if len(rs.Cols) != 1 {
-				return nil, accessDecision{}, fmt.Errorf("sqlexec: IN subquery must return one column, got %d", len(rs.Cols))
-			}
-			for _, row := range rs.Rows {
-				vals = append(vals, row[0])
-			}
+		union, ok, err := inListSlots(tx, table, col, c, params)
+		if err != nil {
+			return nil, accessDecision{}, err
 		}
-		for _, item := range c.args[1:] {
-			v, ok := item.constVal(params)
-			if !ok {
-				continue inLists
-			}
-			vals = append(vals, v)
+		if ok {
+			return union, accessDecision{kind: accessInList, exact: len(conjuncts) == 1}, nil
 		}
-		seen := make(map[int]bool)
-		union := []int{}
-		for _, v := range vals {
-			if v.IsNull() {
-				continue
-			}
-			s, used := tx.LookupEq(table, col, v)
-			if !used {
-				continue inLists // the index cannot answer v exactly
-			}
-			for _, slot := range s {
-				if !seen[slot] {
-					seen[slot] = true
-					union = append(union, slot)
-				}
-			}
-		}
-		return union, accessDecision{kind: accessOther}, nil
 	}
 	// Second preference: a range predicate on an ordered-indexed column,
 	// then BETWEEN on one.
@@ -490,6 +505,68 @@ inLists:
 		}
 	}
 	return nil, accessDecision{kind: accessFullScan}, nil
+}
+
+// inListSlots returns the slots whose column col equals an item of the IN
+// conjunct c, in ascending slot order and each once. NULL items match no
+// row. ok is false when an item is not constant or the index cannot answer
+// one of them exactly (see reldb.Tx.LookupEq).
+func inListSlots(tx *reldb.Tx, table, col string, c *program, params []reldb.Value) (slots []int, ok bool, err error) {
+	var vals []reldb.Value
+	if c.sub != nil {
+		rs, err := QueryOpts(tx, c.sub.Select, params, nil, Options{})
+		if err != nil {
+			return nil, false, err
+		}
+		if len(rs.Cols) != 1 {
+			return nil, false, fmt.Errorf("sqlexec: IN subquery must return one column, got %d", len(rs.Cols))
+		}
+		vals = make([]reldb.Value, rs.Len())
+		for i := range vals {
+			vals[i] = rs.At(i, 0)
+		}
+	}
+	for _, item := range c.args[1:] {
+		v, okV := item.constVal(params)
+		if !okV {
+			return nil, false, nil
+		}
+		vals = append(vals, v)
+	}
+	lists := make([][]int, 0, len(vals))
+	lo, hi, total := math.MaxInt, -1, 0
+	for _, v := range vals {
+		if v.IsNull() {
+			continue
+		}
+		s, used := tx.LookupEq(table, col, v)
+		if !used {
+			return nil, false, nil
+		}
+		for _, slot := range s {
+			lo, hi = min(lo, slot), max(hi, slot)
+		}
+		lists, total = append(lists, s), total+len(s)
+	}
+	if total == 0 {
+		return nil, true, nil
+	}
+	// A bitmap over the slot range [lo, hi] orders and deduplicates the
+	// union; an index's own list may be unordered after deletes.
+	bits := make([]uint64, (hi-lo)/64+1)
+	for _, s := range lists {
+		for _, slot := range s {
+			bits[(slot-lo)/64] |= 1 << ((slot - lo) % 64)
+		}
+	}
+	slots = make([]int, 0, total)
+	for w, word := range bits {
+		for word != 0 {
+			slots = append(slots, lo+w*64+mbits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return slots, true, nil
 }
 
 // rangeAccess collects the slots an ordered index yields for the first

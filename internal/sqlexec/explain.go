@@ -39,7 +39,7 @@ func Explain(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSe
 		}
 		step := "full scan"
 		if dec.kind != accessFullScan {
-			step = fmt.Sprintf("index access (%d candidate rows)", len(slots))
+			step = fmt.Sprintf("index access (%d candidate rows)", len(slots)) + dec.via()
 		}
 		add("base %s: %s", describeRef(st.From), step)
 		recheck = !dec.exact

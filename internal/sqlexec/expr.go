@@ -351,13 +351,13 @@ func (p *program) eval(f *frame) (reldb.Value, error) {
 		if len(rs.Cols) != 1 {
 			return reldb.Null, fmt.Errorf("sqlexec: scalar subquery must return one column, got %d", len(rs.Cols))
 		}
-		switch len(rs.Rows) {
+		switch rs.Len() {
 		case 0:
 			return reldb.Null, nil
 		case 1:
-			return rs.Rows[0][0], nil
+			return rs.At(0, 0), nil
 		}
-		return reldb.Null, fmt.Errorf("sqlexec: scalar subquery returned %d rows", len(rs.Rows))
+		return reldb.Null, fmt.Errorf("sqlexec: scalar subquery returned %d rows", rs.Len())
 	}
 	var xs [3]reldb.Value // the operands of the unary, IS NULL and BETWEEN forms
 	if err := evalAll(xs[:len(p.args)], p.args, f); err != nil {
@@ -494,12 +494,13 @@ func (p *program) evalIn(f *frame) (reldb.Value, error) {
 		if len(rs.Cols) != 1 {
 			return reldb.Null, fmt.Errorf("sqlexec: IN subquery must return one column, got %d", len(rs.Cols))
 		}
-		for _, row := range rs.Rows {
-			if row[0].IsNull() {
+		for i := range rs.Len() {
+			v := rs.At(i, 0)
+			if v.IsNull() {
 				sawNull = true
 				continue
 			}
-			if reldb.Compare(x, row[0]) == 0 {
+			if reldb.Compare(x, v) == 0 {
 				return reldb.Bool(!p.neg), nil
 			}
 		}

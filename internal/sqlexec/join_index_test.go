@@ -167,6 +167,33 @@ func TestJoinIndexDifferential(t *testing.T) {
 	}
 }
 
+// TestJoinIndexFoldDifferential: GROUP BY over joins of more than one
+// aggregation chunk, whose joined pairs fold straight into the chunks,
+// gives the same bits through the index probe as through the hash join.
+func TestJoinIndexFoldDifferential(t *testing.T) {
+	db := joinDiffSchema(t)
+	for i := 0; i < 60; i++ {
+		run(t, db, "INSERT INTO l (k, f, g) VALUES (?, ?, ?)", i%5, float64(i%7), string(rune('a'+i%3)))
+	}
+	for i := 0; i < 500; i++ {
+		k := reldb.Int(int64(i % 5))
+		if i%11 == 0 {
+			k = reldb.Null
+		}
+		run(t, db, "INSERT INTO r (k, fk, x) VALUES (?, ?, ?)", k, reldb.Float(float64(i%4)), reldb.Float(float64(i)/3+0.1))
+	}
+	queries := []string{
+		`SELECT l.g, COUNT(*), SUM(r.x), AVG(r.x), STDDEV(r.x), MIN(r.x), MAX(r.x) FROM l JOIN r ON r.k = l.k GROUP BY l.g ORDER BY l.g`,
+		`SELECT r.k, l.g, COUNT(*), AVG(r.x) FROM l JOIN r ON r.k = l.k WHERE l.f < 5.0 GROUP BY r.k, l.g`,
+	}
+	if n := run(t, db, "SELECT COUNT(*) FROM l JOIN r ON r.k = l.k").Rows[0][0].AsInt(); n <= aggChunkRows {
+		t.Fatalf("%d joined rows, want more than %d", n, aggChunkRows)
+	}
+	if probed := joinDiff(t, db, queries, joinDiffDrops); probed != len(queries) {
+		t.Fatalf("only %d of %d queries took an index nested-loop join", probed, len(queries))
+	}
+}
+
 // FuzzJoinIndexDifferential drives the same differential from fuzzed
 // tables. Each input byte picks keys and a payload for new rows: the first
 // 8 bytes add rows to l, the next 32 add a row to r and one to q, and each
@@ -298,8 +325,8 @@ func TestIndexedWhereNumericProbe(t *testing.T) {
 		if p.T == reldb.TFloat && p.F != math.Trunc(p.F) {
 			want = 0
 		}
-		if len(rs.Rows) != want {
-			t.Errorf("memoized plan, k = %v: %d rows, want %d", p.Go(), len(rs.Rows), want)
+		if rs.Len() != want {
+			t.Errorf("memoized plan, k = %v: %d rows, want %d", p.Go(), rs.Len(), want)
 		}
 	}
 }

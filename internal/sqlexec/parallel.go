@@ -60,7 +60,8 @@ const aggChunkRows = 4096
 // partitions whose free-slot density differs.
 const partsPerWorker = 4
 
-// QueryOpts is Query with explicit execution options and an optional span.
+// QueryOpts is Query with explicit execution options and an optional
+// span. Its result may be in either ResultSet form.
 func QueryOpts(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value, sp *obs.Span, opts Options) (*ResultSet, error) {
 	q := &query{tx: tx, st: st, params: params, sp: sp, opts: opts}
 	return q.run()
@@ -208,9 +209,11 @@ func (q *query) scanFilter(table string, where *program, workers int) ([]reldb.R
 		total += len(p.kept)
 		q.scanned += p.visited
 	}
-	if len(parts) == 1 {
+	if len(parts) == 1 && total > 0 {
 		return parts[0].kept, nil
 	}
+	// Empty or not, the result is a non-nil slice at every worker count:
+	// a reference-form ResultSet holds it as is.
 	out := make([]reldb.Row, 0, total)
 	for _, p := range parts {
 		out = append(out, p.kept...)
@@ -244,7 +247,11 @@ type distinctVals struct {
 
 // newPartials returns fresh partial states for aggs, in order.
 func newPartials(aggs []aggCall) []aggPartial {
-	parts := make([]aggPartial, len(aggs))
+	return initPartials(make([]aggPartial, len(aggs)), aggs)
+}
+
+// initPartials readies zeroed partial states for aggs, in order.
+func initPartials(parts []aggPartial, aggs []aggCall) []aggPartial {
 	for i, a := range aggs {
 		parts[i].allInt = true
 		if a.distinct {
@@ -354,18 +361,161 @@ type chunkGroup struct {
 	parts []aggPartial
 }
 
-// aggChunk is the fold result of one fixed-size input chunk.
-type aggChunk struct {
-	groups map[string]*chunkGroup
-	order  []*chunkGroup // discovery order within the chunk
+// groupAlloc carves chunk groups and their partial states from blocks of
+// groupBlockRows groups. A fold's groups are garbage once finalizeGroups
+// has read them, so release hands the blocks back for the next fold
+// instead of to the collector: a GROUP BY then allocates little, and pays
+// little GC assist work, whatever GC phase it runs in. A groupAlloc
+// belongs to one goroutine.
+type groupAlloc struct {
+	aggs   []aggCall
+	blocks []*groupBlock // every block carved from, for release
+	groups []chunkGroup
+	parts  []aggPartial
 }
 
-// foldChunk folds one chunk of input rows into per-group partial states.
-func (q *query) foldChunk(rows []reldb.Row, f *frame) (*aggChunk, error) {
-	c := q.prog
-	stmt := q.opts.Stmt
-	ck := &aggChunk{groups: make(map[string]*chunkGroup)}
-	kv := make([]reldb.Value, len(c.groupBy))
+type groupBlock struct {
+	groups []chunkGroup
+	parts  []aggPartial
+}
+
+const groupBlockRows = 64
+
+// freeGroupBlocks holds up to maxFreeGroupBlocks released blocks, cleared,
+// for the next fold, which takes the most recently released first. It is
+// a bounded free list rather than a sync.Pool: a collection empties a
+// pool, so the first GROUP BY after each one would allocate its group
+// state anew, and its cost would depend on when the collector last ran.
+// A block keeps partial states for at most maxFreeBlockAggs aggregates.
+var freeGroupBlocks struct {
+	sync.Mutex
+	blocks []*groupBlock
+}
+
+const (
+	maxFreeGroupBlocks = 64
+	maxFreeBlockAggs   = 8
+)
+
+// group returns a new group with the given key and first row.
+func (a *groupAlloc) group(key string, first reldb.Row) *chunkGroup {
+	n := len(a.aggs)
+	if len(a.groups) == 0 {
+		var b *groupBlock
+		free := &freeGroupBlocks
+		free.Lock()
+		if k := len(free.blocks); k > 0 {
+			b = free.blocks[k-1]
+			free.blocks = free.blocks[:k-1]
+		}
+		free.Unlock()
+		if b == nil {
+			b = &groupBlock{groups: make([]chunkGroup, groupBlockRows)}
+		}
+		if cap(b.parts) < groupBlockRows*n {
+			b.parts = make([]aggPartial, groupBlockRows*n)
+		}
+		a.blocks = append(a.blocks, b)
+		a.groups, a.parts = b.groups, b.parts[:groupBlockRows*n]
+	}
+	g := &a.groups[0]
+	g.key, g.first, g.parts = key, first, initPartials(a.parts[:n:n], a.aggs)
+	a.groups, a.parts = a.groups[1:], a.parts[n:]
+	return g
+}
+
+// release clears every block the groups were carved from and returns it
+// to the free list while that has room. No group may be used afterwards.
+func (a *groupAlloc) release() {
+	for _, b := range a.blocks {
+		clear(b.groups)
+		if cap(b.parts) > groupBlockRows*maxFreeBlockAggs {
+			b.parts = nil
+		}
+		clear(b.parts[:cap(b.parts)])
+	}
+	free := &freeGroupBlocks
+	free.Lock()
+	keep := min(len(a.blocks), maxFreeGroupBlocks-len(free.blocks))
+	free.blocks = append(free.blocks, a.blocks[:keep]...)
+	free.Unlock()
+	a.blocks, a.groups, a.parts = nil, nil, nil
+}
+
+// aggChunk is the fold result of one fixed-size input chunk.
+type aggChunk struct {
+	groups map[string]*chunkGroup // by key, while the row path folds the chunk
+	order  []*chunkGroup          // discovery order within the chunk
+}
+
+// chunkFolder folds rows one at a time into fixed-size chunks of
+// per-group partial states: its input rows [k*aggChunkRows,
+// (k+1)*aggChunkRows) form chunk k, the chunking foldGroups uses, so
+// merging its chunks in order gives the same result bits.
+type chunkFolder struct {
+	q      *query
+	f      *frame
+	reused bool // rows arrive in one reused buffer: copy a group's first row
+	chunks []*aggChunk
+	n      int           // rows folded into the last chunk
+	kv     []reldb.Value // the row's GROUP BY values
+	key    []byte        // their keyOf key
+	alloc  *groupAlloc
+}
+
+func (q *query) newFolder(f *frame, reused bool, alloc *groupAlloc) *chunkFolder {
+	return &chunkFolder{q: q, f: f, reused: reused, kv: make([]reldb.Value, len(q.prog.groupBy)), alloc: alloc}
+}
+
+// add folds one row into the last chunk, starting a new chunk when it is
+// full.
+func (cf *chunkFolder) add(row reldb.Row) error {
+	c := cf.q.prog
+	if len(cf.chunks) == 0 || cf.n == aggChunkRows {
+		cf.chunks = append(cf.chunks, &aggChunk{groups: make(map[string]*chunkGroup)})
+		cf.n = 0
+	}
+	ck := cf.chunks[len(cf.chunks)-1]
+	cf.n++
+	cf.f.row = row
+	if len(c.groupBy) > 0 {
+		if err := evalAll(cf.kv, c.groupBy, cf.f); err != nil {
+			return err
+		}
+		cf.key = appendKey(cf.key[:0], cf.kv)
+	}
+	g := ck.groups[string(cf.key)]
+	if g == nil {
+		first := row
+		if cf.reused {
+			first = append(reldb.Row(nil), row...)
+		}
+		g = cf.alloc.group(string(cf.key), first)
+		ck.groups[g.key] = g
+		ck.order = append(ck.order, g)
+	}
+	for i, a := range c.aggs {
+		if a.star {
+			g.parts[i].count++
+			continue
+		}
+		v, err := a.arg.eval(cf.f)
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			continue
+		}
+		g.parts[i].observe(v)
+	}
+	return nil
+}
+
+// foldChunk folds one chunk of at most aggChunkRows input rows into
+// per-group partial states of its own.
+func (cf *chunkFolder) foldChunk(rows []reldb.Row) (*aggChunk, error) {
+	stmt := cf.q.opts.Stmt
+	cf.chunks, cf.n = cf.chunks[:0], 0
 	for n, row := range rows {
 		// Poll cancellation inside the fold too: once every chunk has been
 		// claimed, the pool's claim-time check can no longer observe a
@@ -375,36 +525,11 @@ func (q *query) foldChunk(rows []reldb.Row, f *frame) (*aggChunk, error) {
 				return nil, err
 			}
 		}
-		f.row = row
-		key := ""
-		if len(c.groupBy) > 0 {
-			if err := evalAll(kv, c.groupBy, f); err != nil {
-				return nil, err
-			}
-			key = keyOf(kv)
-		}
-		g := ck.groups[key]
-		if g == nil {
-			g = &chunkGroup{key: key, first: row, parts: newPartials(c.aggs)}
-			ck.groups[key] = g
-			ck.order = append(ck.order, g)
-		}
-		for i, a := range c.aggs {
-			if a.star {
-				g.parts[i].count++
-				continue
-			}
-			v, err := a.arg.eval(f)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			g.parts[i].observe(v)
+		if err := cf.add(row); err != nil {
+			return nil, err
 		}
 	}
-	return ck, nil
+	return cf.chunks[0], nil
 }
 
 // aggregate groups rows and evaluates the aggregate items per group (see
@@ -414,9 +539,9 @@ func (q *query) aggregate(rows []reldb.Row) ([][]reldb.Value, [][]reldb.Value, e
 	if workers > 1 && len(rows) > aggChunkRows {
 		mParallelAggs.Inc()
 	}
-	return q.foldGroups(len(rows), workers, func(parallel bool) func(lo, hi int) (*aggChunk, error) {
-		f := q.frame(parallel)
-		return func(lo, hi int) (*aggChunk, error) { return q.foldChunk(rows[lo:hi], f) }
+	return q.foldGroups(len(rows), workers, func(parallel bool, alloc *groupAlloc) func(lo, hi int) (*aggChunk, error) {
+		cf := q.newFolder(q.frame(parallel), false, alloc)
+		return func(lo, hi int) (*aggChunk, error) { return cf.foldChunk(rows[lo:hi]) }
 	})
 }
 
@@ -425,14 +550,26 @@ func (q *query) aggregate(rows []reldb.Row) ([][]reldb.Value, [][]reldb.Value, e
 // folded (concurrently when there are several and workers>1) into
 // per-group partial states, and partials are merged single-threaded in
 // chunk order, then finalized. worker runs once per worker goroutine, told
-// whether others run beside it, and returns its chunk fold.
-func (q *query) foldGroups(n, workers int, worker func(parallel bool) func(lo, hi int) (*aggChunk, error)) ([][]reldb.Value, [][]reldb.Value, error) {
+// whether others run beside it and given the allocator its groups come
+// from, and returns its chunk fold.
+func (q *query) foldGroups(n, workers int, worker func(parallel bool, alloc *groupAlloc) func(lo, hi int) (*aggChunk, error)) ([][]reldb.Value, [][]reldb.Value, error) {
 	chunks := make([]*aggChunk, (n+aggChunkRows-1)/aggChunkRows)
 	if workers = min(workers, len(chunks)); workers > 1 {
 		q.fanOut(workers)
 	}
+	var mu sync.Mutex
+	var allocs []*groupAlloc
+	defer func() {
+		for _, a := range allocs {
+			a.release()
+		}
+	}()
 	err := runParts(len(chunks), workers, q.opts.Stmt, func() func(int) error {
-		fold := worker(workers > 1)
+		alloc := &groupAlloc{aggs: q.prog.aggs}
+		mu.Lock()
+		allocs = append(allocs, alloc)
+		mu.Unlock()
+		fold := worker(workers > 1, alloc)
 		return func(i int) error {
 			lo := i * aggChunkRows
 			var err error

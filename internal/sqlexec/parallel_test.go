@@ -158,6 +158,9 @@ var parallelCorpus = []string{
 	`SELECT i.event, g.grp, i.excl FROM ilp i JOIN event_group g ON i.event = g.event WHERE i.excl > 13000.0 ORDER BY i.id`,
 	`SELECT g.grp, COUNT(*), SUM(i.excl) FROM ilp i JOIN event_group g ON i.event = g.event GROUP BY g.grp ORDER BY g.grp`,
 	`SELECT g.grp, i.id FROM ilp i LEFT JOIN event_group g ON i.event = g.event WHERE i.thread = 3 ORDER BY i.id`,
+	// GROUP BY over a join of ~6,000 rows: the joined pairs fold straight
+	// into several aggregation chunks, with a WHERE checked on each pair
+	`SELECT i.event, g.grp, COUNT(*), SUM(i.excl), AVG(i.excl), STDDEV(i.excl), MIN(i.calls), MAX(i.excl) FROM ilp i JOIN event_group g ON i.event = g.event WHERE i.metric = 'TIME' OR i.thread > 10 GROUP BY i.event, g.grp ORDER BY i.event, g.grp`,
 	// DISTINCT aggregates over a DOUBLE column spanning several fold
 	// chunks, with duplicates on both sides of the chunk boundaries
 	`SELECT COUNT(DISTINCT excl), SUM(DISTINCT excl), AVG(DISTINCT excl), MIN(DISTINCT excl), MAX(DISTINCT excl), STDDEV(DISTINCT excl) FROM ilp`,
@@ -386,6 +389,50 @@ func TestMalformedAggregateRejected(t *testing.T) {
 				if err == nil || err.Error() != c.want {
 					t.Errorf("rows=%d %+v %s: err=%v, want %q", nrows, o, c.src, err, c.want)
 				}
+			}
+		}
+	}
+}
+
+// joinFoldCorpus holds GROUP BY queries over joins of more than
+// aggChunkRows rows, each with its joined rows as a SELECT of their own
+// (inner) and the same aggregation over those rows as a derived table
+// (outer).
+var joinFoldCorpus = []struct{ folded, inner, outer string }{
+	{
+		`SELECT g.grp, COUNT(*), SUM(i.excl), AVG(i.excl), STDDEV(i.excl), MIN(i.excl) FROM ilp i JOIN event_group g ON i.event = g.event GROUP BY g.grp ORDER BY g.grp`,
+		`SELECT g.grp AS grp, i.excl AS excl FROM ilp i JOIN event_group g ON i.event = g.event`,
+		`SELECT grp, COUNT(*), SUM(excl), AVG(excl), STDDEV(excl), MIN(excl) FROM (%s) d GROUP BY grp ORDER BY grp`,
+	},
+	{
+		`SELECT i.event, COUNT(i.excl), AVG(i.excl), MAX(i.calls), COUNT(DISTINCT i.thread) FROM ilp i JOIN event_group g ON i.event = g.event WHERE g.grp = 'MPI' OR i.thread < 200 GROUP BY i.event HAVING COUNT(*) > 1`,
+		`SELECT i.event AS event, i.excl AS excl, i.calls AS calls, i.thread AS thread FROM ilp i JOIN event_group g ON i.event = g.event WHERE g.grp = 'MPI' OR i.thread < 200`,
+		`SELECT event, COUNT(excl), AVG(excl), MAX(calls), COUNT(DISTINCT thread) FROM (%s) d GROUP BY event HAVING COUNT(*) > 1`,
+	},
+}
+
+// TestJoinFoldMatchesMaterialized: a GROUP BY over a join folds each
+// joined pair into its aggregation chunk as the join produces it. The
+// result must equal, bit for bit and at every worker count, aggregating
+// the same joined rows materialized first (as a derived table), whose
+// chunks fold concurrently.
+func TestJoinFoldMatchesMaterialized(t *testing.T) {
+	db := parallelFixture(t)
+	for _, tc := range joinFoldCorpus {
+		if n := len(run(t, db, tc.inner).Rows); n <= aggChunkRows {
+			t.Fatalf("%s: %d joined rows, want more than %d", tc.inner, n, aggChunkRows)
+		}
+		for _, w := range []int{1, 2, 4} {
+			folded, err := queryWorkers(db, tc.folded, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			materialized, err := queryWorkers(db, fmt.Sprintf(tc.outer, tc.inner), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameBits(folded, materialized); diff != "" {
+				t.Errorf("workers=%d %s: folded join and materialized join differ: %s", w, tc.folded, diff)
 			}
 		}
 	}

@@ -16,19 +16,32 @@ const (
 	accessFullScan accessKind = iota // scan every live row
 	accessEqIndex                    // single-column equality index lookup
 	accessMultiEq                    // composite-index multi-equality lookup
-	accessOther                      // IN-union, range, BETWEEN: replanned each execution
+	accessInList                     // IN-list or IN-subquery union: replanned each execution
+	accessOther                      // range, BETWEEN: replanned each execution
 )
 
 // accessDecision records planAccess's choice in a re-executable form:
 // column names plus the constant or parameter programs they compare
-// against. exact marks an equality lookup that consumed every
-// WHERE conjunct: an index answers equality exactly, so its candidates are
+// against. exact marks an equality or IN lookup that consumed every
+// WHERE conjunct: an index answers both exactly, so its candidates are
 // the WHERE result and need no per-row re-check.
 type accessDecision struct {
 	kind     accessKind
 	cols     []string
 	valExprs []*program
 	exact    bool
+}
+
+// via names an IN-list access for EXPLAIN and the span's PlanSummary, and
+// whether it is exact; it is empty for every other access.
+func (d accessDecision) via() string {
+	switch {
+	case d.kind != accessInList:
+		return ""
+	case d.exact:
+		return " via exact in-list"
+	}
+	return " via in-list"
 }
 
 // Plan is a reusable SELECT execution handle. godbc's prepared statements
@@ -65,6 +78,7 @@ type selectProg struct {
 	joins     []joinProg
 	where     *program
 	items     []*program // output items, after * expansion
+	ords      []int      // items' ordinals when all are plain columns (see plainOrds)
 	names     []string   // output column names
 	order     []*program // ORDER BY keys
 	grouped   bool       // GROUP BY, HAVING or an aggregate call
@@ -192,6 +206,9 @@ func compileSelect(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*se
 		return nil, nil, err
 	}
 	c.grouped = len(st.GroupBy) > 0 || st.Having != nil || len(cc.aggs) > 0
+	if !c.grouped && !st.Distinct && len(st.OrderBy) == 0 {
+		c.ords = plainOrds(c.items)
+	}
 	if c.groupBy, err = cc.compileAll(st.GroupBy, false); err != nil {
 		return nil, nil, err
 	}
@@ -207,6 +224,21 @@ func compileSelect(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*se
 	c.limit, c.offset = lim[0], lim[1]
 	c.nparams = cc.nparams
 	return c, derived, nil
+}
+
+// plainOrds returns the column ordinals of items when every item is a
+// plain column reference, else nil. A SELECT of such items that neither
+// groups nor has DISTINCT or ORDER BY returns its result in reference form
+// (see ResultSet).
+func plainOrds(items []*program) []int {
+	ords := make([]int, len(items))
+	for i, item := range items {
+		if item.op != opCol {
+			return nil
+		}
+		ords[i] = item.idx
+	}
+	return ords
 }
 
 // compile sets q.prog: the attached plan's cached program while every
@@ -258,7 +290,7 @@ func (q *query) resolveAccess(table string) ([]int, accessDecision, error) {
 		// clause are kept: full scans and (multi-)equality index lookups.
 		// IN-unions and range scans collect slots during planning, so
 		// caching them would buy nothing.
-		p.dec, p.valid = dec, dec.kind != accessOther
+		p.dec, p.valid = dec, dec.kind != accessOther && dec.kind != accessInList
 	}
 	return slots, dec, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"perfdmf/internal/obs"
@@ -13,16 +12,22 @@ import (
 	"perfdmf/internal/sqlparse"
 )
 
-// Query executes a SELECT inside tx and materializes the result.
+// Query executes a SELECT inside tx and returns its result as projected
+// records (Rows), whichever form the executor produced.
 func Query(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value) (*ResultSet, error) {
-	return QueryOpts(tx, st, params, nil, Options{})
+	return QueryTraced(tx, st, params, nil)
 }
 
 // QueryTraced is Query with a span: the executor fills in the plan/execute/
 // materialize phase timings, the access-path decision, and rows scanned vs.
 // returned. sp may be nil, which degrades to plain Query.
 func QueryTraced(tx *reldb.Tx, st *sqlparse.Select, params []reldb.Value, sp *obs.Span) (*ResultSet, error) {
-	return QueryOpts(tx, st, params, sp, Options{})
+	rs, err := QueryOpts(tx, st, params, sp, Options{})
+	if err != nil {
+		return nil, err
+	}
+	rs.project()
+	return rs, nil
 }
 
 type query struct {
@@ -133,7 +138,7 @@ func (q *query) run() (*ResultSet, error) {
 			if scanned {
 				q.sp.PlanSummary = "full scan"
 			} else {
-				q.sp.PlanSummary = "index access"
+				q.sp.PlanSummary = "index access" + dec.via()
 				q.sp.IndexUsed = true
 			}
 			q.sp.Plan += since(mark)
@@ -184,12 +189,42 @@ func (q *query) run() (*ResultSet, error) {
 		}
 	}
 
-	// Joins.
+	// Joins. Each join but the last copies its rows out for the next. The
+	// last applies WHERE to each joined pair in its scratch row, then
+	// folds the pair into the current aggregation chunk when the query
+	// groups, or else projects it into a record of its own.
+	var folder *chunkFolder
+	var out, sortKeys [][]reldb.Value // the last join's records
 	for i := range st.Joins {
-		rows, err = q.execJoin(rows, i)
-		if err != nil {
+		var keep func(reldb.Row) error
+		var next []reldb.Row
+		switch {
+		case i < len(st.Joins)-1:
+			keep = collect(&next, c.joins[i].hi)
+		case c.grouped:
+			folder = q.newFolder(q.frame(false), true, &groupAlloc{aggs: c.aggs})
+			defer folder.alloc.release()
+			keep = folder.add
+		default:
+			keep = q.projector(&out, &sortKeys)
+		}
+		emit := keep
+		if i == len(st.Joins)-1 && c.where != nil && !whereDone {
+			f := q.frame(false)
+			emit = func(row reldb.Row) error {
+				f.row = row
+				v, err := c.where.eval(f)
+				if err != nil || !truthy(v) {
+					return err
+				}
+				return keep(row)
+			}
+			whereDone = true
+		}
+		if err := q.execJoin(rows, i, emit); err != nil {
 			return nil, err
 		}
+		rows = next
 	}
 
 	// WHERE.
@@ -223,37 +258,57 @@ func (q *query) run() (*ResultSet, error) {
 		return nil, err
 	}
 
-	out, sortKeys := q.colOut, q.colKeys
-	switch {
-	case q.colDone:
-	case c.grouped:
-		out, sortKeys, err = q.aggregate(rows)
-	default:
-		out, sortKeys, err = q.project(rows)
+	rs := &ResultSet{Cols: c.names}
+	if c.ords != nil && len(st.Joins) == 0 {
+		// Plain column references: the result is the rows themselves.
+		lo, hi, err := q.limitBounds(len(rows))
+		if err != nil {
+			return nil, err
+		}
+		rs.Refs, rs.Ords = rows[lo:hi], c.ords
+	} else {
+		switch {
+		case q.colDone:
+			out, sortKeys = q.colOut, q.colKeys
+		case len(st.Joins) > 0 && !c.grouped:
+			// The last join projected its rows; an empty result is an
+			// empty, not a nil, list, as project makes it.
+			if out == nil {
+				out = [][]reldb.Value{}
+			}
+		case folder != nil:
+			out, sortKeys, err = q.finalizeGroups(mergeChunks(folder.chunks))
+		case c.grouped:
+			out, sortKeys, err = q.aggregate(rows)
+		default:
+			out, sortKeys, err = q.project(rows)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if st.Distinct {
+			out, sortKeys = distinct(out, sortKeys)
+		}
+		if len(st.OrderBy) > 0 {
+			out = orderRows(out, sortKeys, st.OrderBy)
+		}
+		lo, hi, err := q.limitBounds(len(out))
+		if err != nil {
+			return nil, err
+		}
+		rs.Rows = out[lo:hi]
 	}
-	if err != nil {
-		return nil, err
-	}
-
-	if st.Distinct {
-		out, sortKeys = distinct(out, sortKeys)
-	}
-	if len(st.OrderBy) > 0 {
-		out = orderRows(out, sortKeys, st.OrderBy)
-	}
-	if out, err = q.applyLimit(out); err != nil {
-		return nil, err
-	}
+	n := int64(rs.Len())
 	// Final cancellation check: a kill that landed during the aggregation
 	// or ordering tail must not hand back a completed result.
 	if err := stmt.Err(); err != nil {
 		return nil, err
 	}
 	mRowsScanned.Add(q.scanned)
-	mRowsReturned.Add(int64(len(out)))
+	mRowsReturned.Add(n)
 	if stmt != nil {
 		stmt.rowsScanned.Store(q.scanned)
-		stmt.rowsReturned.Store(int64(len(out)))
+		stmt.rowsReturned.Store(n)
 	}
 	if timed {
 		if q.colDone {
@@ -266,9 +321,9 @@ func (q *query) run() (*ResultSet, error) {
 		}
 		q.sp.Materialize += since(mark)
 		q.sp.RowsScanned += q.scanned
-		q.sp.RowsReturned += int64(len(out))
+		q.sp.RowsReturned += n
 	}
-	return &ResultSet{Cols: c.names, Rows: out}, nil
+	return rs, nil
 }
 
 // liveRows returns the base table's live row count (0 when missing;
@@ -281,20 +336,22 @@ func (q *query) liveRows(table string) int {
 	return t.Len()
 }
 
-// execJoin joins the accumulated rows with one more table. When the ON
-// clause contains an equality between an already-bound column and a column
-// of the new table, the candidates for each left row come from that key:
-// through the new table's equality index when it is a base table with one
-// and the left side has fewer rows than the table (index nested-loop join),
-// else from a hash table built over all its rows (hash join). Without such
-// a key every row is a candidate (nested-loop join). Candidates arrive in
-// slot order on every path, and the complete ON expression is evaluated on
-// each candidate pair.
-func (q *query) execJoin(rows []reldb.Row, i int) ([]reldb.Row, error) {
+// execJoin joins the accumulated rows with one more table, handing each
+// joined row to emit in one scratch row that it reuses: emit must copy
+// what it keeps. When the ON clause contains an equality between an
+// already-bound column and a column of the new table, the candidates for
+// each left row come from that key: through the new table's equality
+// index when it is a base table with one and the left side has fewer rows
+// than the table (index nested-loop join), else from a hash table built
+// over all its rows (hash join). Without such a key every row is a
+// candidate (nested-loop join). Candidates arrive in slot order on every
+// path, and the complete ON expression is evaluated on each candidate
+// pair.
+func (q *query) execJoin(rows []reldb.Row, i int, emit func(reldb.Row) error) error {
 	join, jp := q.st.Joins[i], &q.prog.joins[i]
 	derived, err := q.refRows(i+1, join.TableRef)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	leftWidth, width := jp.lo, jp.hi
 	leftPos, rightPos, keyed := jp.leftPos, jp.rightPos, jp.keyed
@@ -312,13 +369,13 @@ func (q *query) execJoin(rows []reldb.Row, i int) ([]reldb.Row, error) {
 		strategy, via = "index nested-loop join", " via "+ix
 		candidates, err = q.indexProbe(join.Table, rightPos, leftKey)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		rightRows := derived
 		if join.Sub == nil && !virtualRef(join.TableRef) {
 			if rightRows, err = q.scanAll(join.Table); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		q.scanned += int64(len(rightRows))
@@ -328,7 +385,7 @@ func (q *query) execJoin(rows []reldb.Row, i int) ([]reldb.Row, error) {
 			ht := make(map[reldb.Value][]reldb.Row, len(rightRows))
 			for _, r := range rightRows {
 				if err := q.pollEvery(); err != nil {
-					return nil, err
+					return err
 				}
 				if k := r[rightPos]; !k.IsNull() {
 					hk := hashKey(k)
@@ -342,59 +399,82 @@ func (q *query) execJoin(rows []reldb.Row, i int) ([]reldb.Row, error) {
 	}
 	q.joins = append(q.joins, joinKind(join)+" "+strategy+" "+describeRef(join.TableRef)+via)
 
-	// The ON check evaluates each candidate pair in one scratch row; only
-	// emitted pairs get a row of their own.
+	// Each candidate pair is laid out in the scratch row, checked against
+	// ON there and, when it matches, emitted from there.
 	f := q.frame(false)
-	scratch := make(reldb.Row, 0, width)
-	onMatch := func(l, r reldb.Row) (bool, error) {
-		if jp.on == nil {
-			return true, nil
-		}
-		f.row = append(append(scratch[:0], l...), r...)
-		v, err := jp.on.eval(f)
-		if err != nil {
-			return false, err
-		}
-		return truthy(v), nil
-	}
-
-	var result []reldb.Row
-	emit := func(l, r reldb.Row) {
-		combined := make(reldb.Row, width)
-		copy(combined, l)
-		if r != nil {
-			copy(combined[leftWidth:], r)
-		}
-		result = append(result, combined)
-	}
-
+	scratch := make(reldb.Row, width)
 	for _, l := range rows {
 		if err := q.pollEvery(); err != nil {
-			return nil, err
+			return err
 		}
 		matched := false
 		cands, err := candidates(l)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		copy(scratch, l)
 		for _, r := range cands {
 			if err := q.pollEvery(); err != nil {
-				return nil, err
+				return err
 			}
-			ok, err := onMatch(l, r)
-			if err != nil {
-				return nil, err
+			copy(scratch[leftWidth:], r)
+			if jp.on != nil {
+				f.row = scratch
+				v, err := jp.on.eval(f)
+				if err != nil {
+					return err
+				}
+				if !truthy(v) {
+					continue
+				}
 			}
-			if ok {
-				matched = true
-				emit(l, r)
+			matched = true
+			if err := emit(scratch); err != nil {
+				return err
 			}
 		}
 		if !matched && join.Kind == sqlparse.LeftJoin {
-			emit(l, nil)
+			clear(scratch[leftWidth:])
+			if err := emit(scratch); err != nil {
+				return err
+			}
 		}
 	}
-	return result, nil
+	return nil
+}
+
+// projector returns an emit function for execJoin that evaluates the
+// output items, and the ORDER BY keys, of each row into records of their
+// own, appended to *out and *keys.
+func (q *query) projector(out, keys *[][]reldb.Value) func(reldb.Row) error {
+	c := q.prog
+	f := q.frame(false)
+	return func(row reldb.Row) error {
+		f.row = row
+		rec := make([]reldb.Value, len(c.items)+len(c.order))
+		if err := evalAll(rec[:len(c.items)], c.items, f); err != nil {
+			return err
+		}
+		*out = append(*out, rec[:len(c.items):len(c.items)])
+		if len(c.order) > 0 {
+			if err := evalAll(rec[len(c.items):], c.order, f); err != nil {
+				return err
+			}
+			*keys = append(*keys, rec[len(c.items):])
+		}
+		return nil
+	}
+}
+
+// collect returns an emit function for execJoin that appends a copy of
+// each row, of width cells, to *out.
+func collect(out *[]reldb.Row, width int) func(reldb.Row) error {
+	return func(row reldb.Row) error {
+		r := make(reldb.Row, width)
+		copy(r, row)
+		*out = append(*out, r)
+		return nil
+	}
 }
 
 // joinIndex returns the equality index an index nested-loop join could
@@ -509,23 +589,25 @@ func isAggName(name string) bool {
 }
 
 // keyOf builds a collision-free string key for a value tuple.
-func keyOf(vals []reldb.Value) string {
-	var b strings.Builder
+func keyOf(vals []reldb.Value) string { return string(appendKey(nil, vals)) }
+
+// appendKey appends keyOf's key for vals to b.
+func appendKey(b []byte, vals []reldb.Value) []byte {
 	for _, v := range vals {
-		b.WriteByte(byte(v.T) + '0')
+		b = append(b, byte(v.T)+'0')
 		switch v.T {
 		case reldb.TInt, reldb.TBool, reldb.TTime:
-			b.WriteString(strconv.FormatInt(v.I, 36))
+			b = strconv.AppendInt(b, v.I, 36)
 		case reldb.TFloat:
-			b.WriteString(strconv.FormatUint(math.Float64bits(v.F), 36))
+			b = strconv.AppendUint(b, math.Float64bits(v.F), 36)
 		case reldb.TString, reldb.TBytes:
-			b.WriteString(strconv.Itoa(len(v.S)))
-			b.WriteByte(':')
-			b.WriteString(v.S)
+			b = strconv.AppendInt(b, int64(len(v.S)), 10)
+			b = append(b, ':')
+			b = append(b, v.S...)
 		}
-		b.WriteByte('|')
+		b = append(b, '|')
 	}
-	return b.String()
+	return b
 }
 
 // project evaluates the output items per row (the non-aggregate path),
@@ -609,35 +691,34 @@ func orderRows(rows, keys [][]reldb.Value, spec []sqlparse.OrderItem) [][]reldb.
 	return out
 }
 
-func (q *query) applyLimit(rows [][]reldb.Value) ([][]reldb.Value, error) {
+// limitBounds returns the range [lo, hi) of n result rows that OFFSET
+// and LIMIT keep.
+func (q *query) limitBounds(n int) (lo, hi int, err error) {
 	f := q.frame(false)
+	hi = n
 	if q.prog.offset != nil {
 		v, err := q.prog.offset.eval(f)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		off := int(v.AsInt())
 		if off < 0 {
-			return nil, fmt.Errorf("sqlexec: negative OFFSET")
+			return 0, 0, fmt.Errorf("sqlexec: negative OFFSET")
 		}
-		if off >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[off:]
-		}
+		lo = min(off, n)
 	}
 	if q.prog.limit != nil {
 		v, err := q.prog.limit.eval(f)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		n := int(v.AsInt())
-		if n < 0 {
-			return nil, fmt.Errorf("sqlexec: negative LIMIT")
+		lim := int(v.AsInt())
+		if lim < 0 {
+			return 0, 0, fmt.Errorf("sqlexec: negative LIMIT")
 		}
-		if n < len(rows) {
-			rows = rows[:n]
+		if lim < hi-lo {
+			hi = lo + lim
 		}
 	}
-	return rows, nil
+	return lo, hi, nil
 }
