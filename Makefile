@@ -11,7 +11,7 @@
 # benchmark, the serve binary, the persisted span-tree pipeline
 # (`trace-smoke`), the introspection catalog (`catalog-smoke`), the
 # group-committed telemetry pipeline (`telemetry-smoke`), the columnar
-# executor's speedup/identity experiment (`columnar-smoke`), and the
+# GROUP BY benchmark's identity and speedup gates (`columnar-smoke`), and the
 # continuous-observability loop — alert lifecycle plus workload advisor
 # over the real binary (`alerts-smoke`).
 # Cheap syntactic
@@ -20,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-global seed-check seed-corpus build test race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke bench bench-parallel bench-columnar bench-trace experiments clean
+.PHONY: check vet lint lint-global seed-check seed-corpus build test race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke bench bench-trace experiments clean
 
 check: vet lint lint-global seed-check build race fuzz-smoke bench-smoke serve-smoke trace-smoke catalog-smoke telemetry-smoke columnar-smoke alerts-smoke
 
@@ -95,7 +95,9 @@ fuzz-smoke:
 
 # One iteration per sub-benchmark: proves the observability guard, the
 # E1 full-trial load and upload benchmarks and the archive reopen benchmark
-# still compile and run. Real numbers come from `make bench`.
+# still compile and run. At one iteration the guard only reports its
+# overheads; `make bench-trace` enforces them. Real numbers come from
+# `make bench`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench ObsOverhead -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'E1LargeTrial(Load|Upload)/threads-512$$' -benchtime 1x -benchmem .
@@ -226,57 +228,28 @@ alerts-smoke:
 		echo "alerts-smoke: n-plus-one finding names no statement shape"; cat bin/alerts-smoke/doctor.json; exit 1; }
 	@echo "alerts-smoke: ok"
 
-# Columnar-execution smoke: the P2 experiment at -quick scale against a
-# throwaway output file (the committed BENCH_parallel.json is only
-# refreshed by bench-parallel / bench-columnar). The experiment itself
-# enforces the ≥3× columnar-vs-row speedup and the row/columnar identity
-# check, so a kernel regression fails here in seconds.
+# Columnar-execution smoke: one iteration of BenchmarkParallelGroupBy,
+# which times the GROUP BY on the row path and, after COMPACT, on the
+# columnar path at workers 1/2/4/8. It fails unless every sub-benchmark ran
+# only its own path, both paths return identical results, and columnar is
+# at least 3× the row path at one worker, so a kernel regression fails here
+# in seconds.
 columnar-smoke:
-	@rm -rf bin/columnar-smoke && mkdir -p bin/columnar-smoke
-	$(GO) run ./cmd/experiments -quick -only P2 -obs "" -parallel bin/columnar-smoke/parallel.json
-	@grep -q '"speedup_ok": true' bin/columnar-smoke/parallel.json || { \
-		echo "columnar-smoke: speedup_ok missing from P2 record"; exit 1; }
-	@grep -q '"identical_results": true' bin/columnar-smoke/parallel.json || { \
-		echo "columnar-smoke: identical_results missing from P2 record"; exit 1; }
-	@echo "columnar-smoke: ok"
+	$(GO) test -run '^$$' -bench '^BenchmarkParallelGroupBy$$' -benchtime 1x .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Parallel-executor sweep: BenchmarkParallelScan/GroupBy/PlanCache at
-# workers 1/2/4/8, then the P1 experiment, which writes the machine-readable
-# BENCH_parallel.json (speedups are only meaningful on a multi-core runner —
-# check the recorded gomaxprocs).
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelScan|BenchmarkParallelGroupBy|BenchmarkPlanCache' -benchmem .
-	$(GO) run ./cmd/experiments -only P1 -obs "" -parallel BENCH_parallel.json
-
-# Columnar-executor benchmark (P2): times the E3 GROUP BY on the row path
-# vs the vectorized columnar path at worker budgets 1/4/8 and refreshes
-# the "p2" section of BENCH_parallel.json (the "p1" section is preserved
-# by the read-modify-write writer). The experiment fails unless columnar
-# beats the row path ≥3× at one worker with bitwise-identical results;
-# the greps re-assert both verdicts on the committed artifact so a stale
-# JSON can't pass.
-bench-columnar:
-	$(GO) run ./cmd/experiments -only P2 -obs "" -parallel BENCH_parallel.json
-	@grep -q '"speedup_ok": true' BENCH_parallel.json || { \
-		echo "bench-columnar: BENCH_parallel.json lacks speedup_ok: true"; exit 1; }
-	@grep -q '"identical_results": true' BENCH_parallel.json || { \
-		echo "bench-columnar: BENCH_parallel.json lacks identical_results: true"; exit 1; }
-
-# Tracing-overhead benchmark (T1): times the E1 upload with tracing off,
-# on, and with governed span persistence, and writes BENCH_trace.json.
-# The experiment itself fails if either the traced or the persisted
-# overhead exceeds the 5% budget; the grep re-asserts the persisted
-# verdict on the artifact so a stale JSON can't pass.
+# Tracing-overhead guard: BenchmarkObsOverhead at 12 iterations, each
+# uploading the same trial once with observability off, with the slow-query
+# log, traced, and with span persistence. It fails if the traced or the
+# persisted upload's fastest run costs more than 5% over the fastest off
+# run, and reports the per-span cost on a point query.
 bench-trace:
-	$(GO) run ./cmd/experiments -only T1 -obs "" -trace BENCH_trace.json
-	@grep -q '"persisted_within_budget": true' BENCH_trace.json || { \
-		echo "bench-trace: BENCH_trace.json lacks persisted_within_budget: true"; exit 1; }
+	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 12x .
 
 experiments:
 	$(GO) run ./cmd/experiments -quick
 
 clean:
-	rm -rf bin BENCH_obs.json
+	rm -rf bin

@@ -10,6 +10,9 @@ package perfdmf
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +20,9 @@ import (
 	"perfdmf/internal/core"
 	"perfdmf/internal/experiments"
 	"perfdmf/internal/formats"
+	"perfdmf/internal/godbc"
 	"perfdmf/internal/mining"
+	"perfdmf/internal/model"
 	"perfdmf/internal/obs"
 	"perfdmf/internal/synth"
 )
@@ -33,14 +38,23 @@ func benchDSN(tag string) string {
 	return fmt.Sprintf("mem:bench_%s_%d", tag, benchCounter)
 }
 
-// benchArchive opens a session with app+experiment selected.
+// benchArchive opens a session with app+experiment selected, closed when
+// the benchmark ends.
 func benchArchive(b *testing.B, tag string) *core.DataSession {
 	b.Helper()
-	s, err := core.Open(benchDSN(tag))
+	s := newBenchSession(b, benchDSN(tag))
+	b.Cleanup(func() { s.Close() })
+	return s
+}
+
+// newBenchSession opens a session on dsn with app+experiment selected; the
+// caller closes it.
+func newBenchSession(b *testing.B, dsn string) *core.DataSession {
+	b.Helper()
+	s, err := core.Open(dsn)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { s.Close() })
 	app := &core.Application{Name: "bench"}
 	if err := s.SaveApplication(app); err != nil {
 		b.Fatal(err)
@@ -372,37 +386,159 @@ func BenchmarkE8XMLRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(bytes), "bytes")
 }
 
-// BenchmarkObsOverhead is the observability overhead guard: the same
-// Miranda-like bulk upload with instrumentation idle (counters only),
-// with tracing + slow-query logging on, and with only the slow-query
-// threshold armed. The idle case must stay within a few percent of the
-// seed's upload rate — the acceptance bound is < 5% — because the bulk
-// path then pays just atomic adds per statement.
+// obsMode is one observability configuration the overhead guard times.
+// persist additionally runs the self-hosted telemetry pipeline (span
+// persistence, metric history and one alert rule) on the archive.
+type obsMode struct {
+	name    string
+	cfg     obs.Config
+	persist bool
+}
+
+var obsModes = []obsMode{
+	{name: "off"},
+	{name: "slowlog", cfg: obs.Config{SlowQuery: 50 * time.Millisecond}},
+	{name: "trace", cfg: obs.Config{Trace: true, SlowQuery: 50 * time.Millisecond}},
+	{name: "persisted", cfg: obs.Config{Trace: true, SlowQuery: 50 * time.Millisecond}, persist: true},
+}
+
+// The tracing-overhead budget: once a run has obsGateIters iterations,
+// the traced and the persisted upload may each cost at most
+// obsBudgetPct percent over the fastest off upload.
+const (
+	obsBudgetPct = 5.0
+	obsGateIters = 12
+)
+
+// BenchmarkObsOverhead is the observability overhead guard. Its upload
+// sub-benchmark times the same Miranda-like bulk upload in every obsModes
+// mode; its point sub-benchmark times a point query with tracing off and
+// on, which is where the fixed cost of a span shows.
 func BenchmarkObsOverhead(b *testing.B) {
-	p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 512, Events: 101, Metrics: 1, Seed: 1})
-	points := float64(p.DataPoints())
-	variants := []struct {
-		name string
-		cfg  obs.Config
-	}{
-		{"off", obs.Config{}},
-		{"slowlog", obs.Config{SlowQuery: 50 * time.Millisecond}},
-		{"trace", obs.Config{Trace: true, SlowQuery: 50 * time.Millisecond}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			obs.Apply(v.cfg)
-			defer obs.Apply(obs.Config{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := benchArchive(b, "obs-"+v.name)
-				if _, err := s.UploadTrial(p, core.UploadOptions{}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("upload", benchObsUpload)
+	b.Run("point", benchObsPoint)
+}
+
+// benchObsUpload uploads once in every mode per iteration, rotating the
+// order each iteration so every mode's fastest upload comes from the same
+// stretch of wall clock and no mode is pinned to one slot. Interference on
+// a shared host only ever slows an upload, so each mode is judged by its
+// fastest one; an overhead below zero is under the noise floor and
+// reported as 0.
+func benchObsUpload(b *testing.B) {
+	p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 2048, Events: 101, Metrics: 1, Seed: 1})
+	defer obs.Apply(obs.Config{})
+	// The first upload in a process pays allocator and page-fault costs
+	// that would otherwise land on whichever mode runs first.
+	obsUpload(b, p, obsModes[0])
+	fastest := make([]time.Duration, len(obsModes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range obsModes {
+			k := (i + j) % len(obsModes)
+			if d := obsUpload(b, p, obsModes[k]); fastest[k] == 0 || d < fastest[k] {
+				fastest[k] = d
 			}
-			b.ReportMetric(points*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(fastest[0].Nanoseconds()), "off-ns")
+	for k, m := range obsModes[1:] {
+		pct := max(0, 100*(fastest[k+1].Seconds()/fastest[0].Seconds()-1))
+		b.ReportMetric(float64(fastest[k+1].Nanoseconds()), m.name+"-ns")
+		b.ReportMetric(pct, m.name+"-overhead-%")
+		// The budget binds the modes that trace: trace and persisted.
+		if b.N >= obsGateIters && m.cfg.Trace && pct > obsBudgetPct {
+			b.Errorf("%s upload costs %.2f%% over off, budget %.0f%%", m.name, pct, obsBudgetPct)
+		}
+	}
+}
+
+// obsUpload times one upload of p into a fresh archive under mode m. The
+// archive is dropped afterwards: leaked mem: archives grow the live heap,
+// which taxes every later upload's allocator. GC runs before the timed
+// region and is off inside it, so whether a cycle lands in an upload does
+// not depend on the order of the modes.
+func obsUpload(b *testing.B, p *model.Profile, m obsMode) time.Duration {
+	b.Helper()
+	obs.Apply(m.cfg)
+	dsn := benchDSN("obs-" + m.name)
+	s := newBenchSession(b, dsn)
+	var stop func() error
+	if m.persist {
+		// One alert rule that never fires still costs a full evaluation at
+		// every history scrape.
+		if _, err := godbc.AddAlertRule(s.Conn(), obs.AlertRule{
+			Name: "obs-exec-rate", Metric: "godbc_exec_total", Op: "gt", Threshold: 1e12,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if stop, err = godbc.StartTelemetry(dsn, godbc.TelemetryOptions{HistoryEvery: 50 * time.Millisecond}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.GC()
+	gcPrev := debug.SetGCPercent(-1)
+	t0 := time.Now()
+	_, err := s.UploadTrial(p, core.UploadOptions{})
+	elapsed := time.Since(t0)
+	debug.SetGCPercent(gcPrev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if stop != nil {
+		if err := stop(); err != nil {
+			b.Fatal(err)
+		}
+		if spans := fetchAll(b, s.Conn(), "SELECT COUNT(*) FROM PERFDMF_SPANS"); spans[0][0] == int64(0) {
+			b.Fatal("persisted mode stored no spans")
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	godbc.DropMemory(strings.TrimPrefix(dsn, "mem:"))
+	return elapsed
+}
+
+// benchObsPoint times batches of SELECT name FROM trial WHERE id = ?, with
+// tracing off and then on, and reports each mode's fastest batch per query
+// and the traced overhead. It enforces no budget yet.
+func benchObsPoint(b *testing.B) {
+	s := benchArchive(b, "obs-point")
+	tr, err := s.UploadTrial(synth.LargeTrial(synth.LargeTrialConfig{Threads: 4, Events: 4, Metrics: 1, Seed: 1}), core.UploadOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer obs.Apply(obs.Config{})
+	const batch = 1000
+	modes := []obsMode{obsModes[0], obsModes[2]}
+	run := func(m obsMode) time.Duration {
+		obs.Apply(m.cfg)
+		t0 := time.Now()
+		for k := 0; k < batch; k++ {
+			drainQuery(b, s.Conn(), "SELECT name FROM trial WHERE id = ?", tr.ID)
+		}
+		return time.Since(t0)
+	}
+	for _, m := range modes {
+		run(m) // warm the statement cache and the span ring
+	}
+	fastest := make([]time.Duration, len(modes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, m := range modes {
+			if d := run(m); fastest[k] == 0 || d < fastest[k] {
+				fastest[k] = d
+			}
+		}
+	}
+	b.StopTimer()
+	for k, m := range modes {
+		b.ReportMetric(float64(fastest[k].Nanoseconds())/batch, m.name+"-ns/query")
+	}
+	b.ReportMetric(100*(fastest[1].Seconds()/fastest[0].Seconds()-1), "trace-overhead-%")
 }
 
 // --- ablations (DESIGN.md §4) ---

@@ -11,17 +11,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/debug"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"perfdmf/internal/experiments"
-	"perfdmf/internal/obs"
 )
 
 func main() {
@@ -31,37 +28,14 @@ func main() {
 	debug.SetGCPercent(300)
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	only := flag.String("only", "", "comma-separated experiment subset (e.g. E1,E4,AB)")
-	obsOut := flag.String("obs", "BENCH_obs.json", "write the engine-metrics snapshot to this file after the run (empty disables)")
-	parallelOut := flag.String("parallel", "BENCH_parallel.json", "write the P1 parallel-execution benchmark to this file (empty disables)")
-	traceOut := flag.String("trace", "BENCH_trace.json", "write the T1 tracing-overhead benchmark to this file (empty disables)")
 	flag.Parse()
-	if err := run(*quick, *only, *parallelOut, *traceOut); err != nil {
+	if err := run(*quick, *only); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if *obsOut != "" {
-		if err := writeObsSnapshot(*obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// writeObsSnapshot dumps the obs registry as machine-readable JSON — the
-// framework's view of its own engine activity across the whole run.
-func writeObsSnapshot(path string) error {
-	data, err := json.MarshalIndent(obs.Default.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nengine metrics written to %s\n", path)
-	return nil
-}
-
-func run(quick bool, only, parallelOut, traceOut string) error {
+func run(quick bool, only string) error {
 	want := func(id string) bool {
 		if only == "" {
 			return true
@@ -119,189 +93,7 @@ func run(quick bool, only, parallelOut, traceOut string) error {
 			return err
 		}
 	}
-	if want("P1") {
-		if err := runP1(quick, parallelOut); err != nil {
-			return err
-		}
-	}
-	if want("P2") {
-		if err := runP2(quick, parallelOut); err != nil {
-			return err
-		}
-	}
-	if want("T1") {
-		if err := runT1(quick, traceOut); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// runT1 measures the hierarchical-tracing overhead on the E1 upload path
-// (off vs traced vs persisted through the telemetry sink) and writes the
-// record BENCH_trace.json holds. The traced overhead must stay under the
-// 5% budget.
-func runT1(quick bool, out string) error {
-	header("T1", "tracing overhead on the E1 upload path (off / traced / persisted)")
-	threads, reps := 4096, 12
-	if quick {
-		threads, reps = 1024, 3
-	}
-	res, err := experiments.RunT1(threads, 101, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rows=%d (threads=%d events=%d)  GOMAXPROCS=%d  reps=%d (fastest kept)\n\n",
-		res.Rows, res.Threads, res.Events, res.GOMAXPROCS, res.Reps)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "MODE\tUPLOAD\tOVERHEAD\t\n")
-	fmt.Fprintf(w, "off\t%v\t—\t\n", time.Duration(res.OffNS).Round(1e6))
-	fmt.Fprintf(w, "traced\t%v\t%+.2f%%\t\n", time.Duration(res.OnNS).Round(1e6), res.OnOverheadPct)
-	fmt.Fprintf(w, "persisted\t%v\t%+.2f%%\t\n", time.Duration(res.PersistedNS).Round(1e6), res.PersistedOverheadPct)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\n%d spans persisted (effective sample rate %.3f, final governor rate %.3f)\n",
-		res.SpansPersisted, res.EffectiveSampleRate, res.FinalSampleRate)
-	if res.NoiseFloor {
-		fmt.Printf("noise floor: raw overheads traced %+.2f%% / persisted %+.2f%% clamped at 0\n",
-			res.OnOverheadRawPct, res.PersistedOverheadRawPct)
-	}
-	fmt.Printf("budget %.0f%%: traced within=%v  persisted within=%v\n",
-		res.BudgetPct, res.TracedWithinBudget, res.PersistedWithinBudget)
-	if !res.TracedWithinBudget {
-		return fmt.Errorf("T1: traced overhead %.2f%% exceeds %.0f%% budget", res.OnOverheadPct, res.BudgetPct)
-	}
-	if !res.PersistedWithinBudget {
-		return fmt.Errorf("T1: persisted overhead %.2f%% exceeds %.0f%% budget", res.PersistedOverheadPct, res.BudgetPct)
-	}
-	if out == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("tracing benchmark written to %s\n", out)
-	return nil
-}
-
-// runP1 times the parallel query executor (partitioned scan + chunked
-// GROUP BY) at increasing worker budgets over one Miranda-scale trial, and
-// the statement/plan cache on a point-query hot loop. Speedup is measured
-// against workers=1 in the same process; on a single-core runner the
-// GOMAXPROCS field in the JSON tells consumers not to expect one.
-func runP1(quick bool, out string) error {
-	header("P1", "parallel query execution (workers sweep, Miranda-scale trial)")
-	threads := 16384
-	if quick {
-		threads = 2048
-	}
-	res, err := experiments.RunP1(threads, 101, []int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rows=%d (threads=%d events=%d)  GOMAXPROCS=%d  generate=%v upload=%v\n\n",
-		res.Rows, res.Threads, res.Events, res.GOMAXPROCS,
-		res.Generate.Round(1e6), res.Upload.Round(1e6))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "WORKERS\tSCAN\tSPEEDUP\tGROUP BY\tSPEEDUP\t\n")
-	for _, r := range res.Timings {
-		fmt.Fprintf(w, "%d\t%v\t%.2fx\t%v\t%.2fx\t\n",
-			r.Workers,
-			(time.Duration(r.ScanNS)).Round(1e5), r.ScanSpeedup,
-			(time.Duration(r.GroupByNS)).Round(1e5), r.GroupBySpeedup)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\nplan cache: %v/op cached text vs %v/op fresh text\n",
-		time.Duration(res.PlanCacheHitNS), time.Duration(res.PlanCacheMissNS))
-	if out == "" {
-		return nil
-	}
-	if err := updateParallelBench(out, func(b *experiments.ParallelBench) { b.P1 = res }); err != nil {
-		return err
-	}
-	fmt.Printf("parallel benchmark written to %s\n", out)
-	return nil
-}
-
-// runP2 times the columnar execution path (sealed segments + vectorized
-// GROUP BY) against the forced row path on the same trial, checks the two
-// paths return identical results, and merges the record into the P2
-// section of BENCH_parallel.json. The ≥3× single-thread speedup target is
-// enforced on every runner; the parallel-scaling target only when
-// GOMAXPROCS actually covers the widest worker budget.
-func runP2(quick bool, out string) error {
-	header("P2", "columnar GROUP BY vs row path (COMPACT + vectorized aggregation)")
-	threads := 16384
-	if quick {
-		threads = 2048
-	}
-	res, err := experiments.RunP2(threads, 101, []int{1, 4, 8})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rows=%d (threads=%d events=%d)  GOMAXPROCS=%d  compact=%v\n\n",
-		res.Rows, res.Threads, res.Events, res.GOMAXPROCS,
-		time.Duration(res.CompactNS).Round(1e6))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "WORKERS\tROW PATH\tCOLUMNAR\tVS ROW\tSCALING\t\n")
-	for _, r := range res.Timings {
-		fmt.Fprintf(w, "%d\t%v\t%v\t%.2fx\t%.2fx\t\n",
-			r.Workers,
-			(time.Duration(r.RowNS)).Round(1e5),
-			(time.Duration(r.ColumnarNS)).Round(1e5),
-			r.SpeedupVsRow, r.Scaling)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("\nplan: %s\nidentical results across paths and budgets: %v\n",
-		strings.TrimSpace(res.Plan), res.IdenticalResults)
-	fmt.Printf("speedup %.2fx (target 3x): ok=%v   scaling %.2fx at %d workers (target 2.5x): ok=%v measured=%v\n",
-		res.SpeedupVsRow1W, res.SpeedupOK,
-		res.ScalingAtMax, res.Timings[len(res.Timings)-1].Workers,
-		res.ScalingOK, res.ScalingMeasured)
-	if !res.IdenticalResults {
-		return fmt.Errorf("P2: columnar and row paths returned different results")
-	}
-	if !res.SpeedupOK {
-		return fmt.Errorf("P2: columnar speedup %.2fx below the 3x target", res.SpeedupVsRow1W)
-	}
-	if res.ScalingMeasured && !res.ScalingOK {
-		return fmt.Errorf("P2: columnar scaling %.2fx below the 2.5x target", res.ScalingAtMax)
-	}
-	if out == "" {
-		return nil
-	}
-	if err := updateParallelBench(out, func(b *experiments.ParallelBench) { b.P2 = res }); err != nil {
-		return err
-	}
-	fmt.Printf("parallel benchmark written to %s\n", out)
-	return nil
-}
-
-// updateParallelBench read-modify-writes the BENCH_parallel.json document
-// so the P1 and P2 runs can each refresh their own section without
-// clobbering the other's.
-func updateParallelBench(path string, mut func(*experiments.ParallelBench)) error {
-	var doc experiments.ParallelBench
-	if data, err := os.ReadFile(path); err == nil {
-		// A legacy (pre-P2, top-level P1) or corrupt file simply gets
-		// replaced by the new document shape.
-		_ = json.Unmarshal(data, &doc)
-	}
-	mut(&doc)
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func header(id, title string) {

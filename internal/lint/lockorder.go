@@ -62,8 +62,7 @@ var LockOrder = []string{
 	"httpserve.Collector.mu",  // metrics collector state
 	"obs.TelemetrySink.mu",    // telemetry buffer
 	"obs.Governor.mu",         // overhead governor window
-	"obs.Tracer.mu",           // trace ring buffer
-	"obs.SlowLog.mu",          // slow-query ring buffer
+	"obs.Tracer.mu",           // span ring: the trace ring and the slow-query log
 	"obs.AlertSet.mu",         // alert rule/state table (Eval reads the history under it)
 	"obs.History.mu",          // metric-history ring
 	"obs.Registry.mu",         // metric registration (leaf: metric resolution can happen anywhere)

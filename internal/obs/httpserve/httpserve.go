@@ -124,7 +124,7 @@ func alerts(w http.ResponseWriter, r *http.Request) {
 // NewHandler builds the monitoring mux:
 //
 //	GET /metrics        Prometheus text exposition of the registry
-//	GET /metrics.json   registry snapshot as JSON (BENCH_obs.json shape)
+//	GET /metrics.json   registry snapshot as JSON (obs.Snapshot)
 //	GET /healthz        process + database health, 200/503
 //	GET /traces?n=50    most recent traced spans, oldest first
 //	GET /traces?tree=1  the same spans assembled into causal span trees

@@ -7,7 +7,8 @@
 // threaded through the whole stack — godbc counts and times statements,
 // sqlexec records plan choice and rows scanned vs. returned, reldb reports
 // WAL, snapshot, B-tree and transaction activity — and is surfaced by
-// `perfdmf stats`, `EXPLAIN ANALYZE` and cmd/experiments' BENCH_obs.json.
+// `perfdmf stats`, `EXPLAIN ANALYZE`, the OBS_METRICS catalog table and
+// `perfdmf serve`'s /metrics.
 //
 // Design constraints:
 //
@@ -169,7 +170,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 }
 
 // Snapshot is a point-in-time copy of a registry, safe to marshal as JSON
-// (the shape of cmd/experiments' BENCH_obs.json).
+// (the shape of `perfdmf serve`'s /metrics.json).
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
 	Gauges     map[string]int64        `json:"gauges"`

@@ -218,7 +218,7 @@ func ApplyEnv() {
 
 func init() { ApplyEnv() }
 
-// --- tracer ---
+// --- tracer and slow-query log ---
 
 // Tracer keeps a bounded ring of the most recent spans.
 type Tracer struct {
@@ -230,10 +230,7 @@ type Tracer struct {
 
 // NewTracer returns a tracer retaining the last n spans.
 func NewTracer(n int) *Tracer {
-	if n < 1 {
-		n = 1
-	}
-	return &Tracer{buf: make([]*Span, n)}
+	return &Tracer{buf: make([]*Span, max(n, 1))}
 }
 
 // DefaultTracer receives every span when tracing is enabled.
@@ -242,10 +239,15 @@ var DefaultTracer = NewTracer(256)
 // Record stores a completed span.
 func (t *Tracer) Record(sp *Span) {
 	t.mu.Lock()
+	t.put(sp)
+	t.mu.Unlock()
+}
+
+// put stores sp; the caller holds t.mu.
+func (t *Tracer) put(sp *Span) {
 	t.buf[t.next] = sp
 	t.next = (t.next + 1) % len(t.buf)
 	t.total++
-	t.mu.Unlock()
 }
 
 // Total returns how many spans have been recorded since process start.
@@ -272,31 +274,22 @@ func (t *Tracer) Recent() []*Span {
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.buf {
-		t.buf[i] = nil
-	}
+	clear(t.buf)
 	t.next = 0
 	t.total = 0
 }
 
-// --- slow-query log ---
-
-// SlowLog retains statements that exceeded the slow-query threshold and
-// optionally streams each entry as a formatted line to an io.Writer.
+// SlowLog is the ring of statements that exceeded the slow-query
+// threshold. Each entry also moves obs_slow_queries_total and, when an
+// output is set, is streamed as a formatted line.
 type SlowLog struct {
-	mu   sync.Mutex
-	buf  []*Span
-	next int
-	n    int64
-	out  io.Writer
+	*Tracer
+	out io.Writer // guarded by Tracer.mu
 }
 
 // NewSlowLog returns a log retaining the last n slow statements.
 func NewSlowLog(n int) *SlowLog {
-	if n < 1 {
-		n = 1
-	}
-	return &SlowLog{buf: make([]*Span, n)}
+	return &SlowLog{Tracer: NewTracer(n)}
 }
 
 // DefaultSlowLog receives every statement that crosses the threshold.
@@ -307,52 +300,19 @@ var slowQueriesTotal = Default.Counter("obs_slow_queries_total")
 // SetOutput streams future entries to w as one-line records (nil disables
 // streaming; entries are always retained in the ring).
 func (l *SlowLog) SetOutput(w io.Writer) {
-	l.mu.Lock()
+	l.Tracer.mu.Lock()
 	l.out = w
-	l.mu.Unlock()
+	l.Tracer.mu.Unlock()
 }
 
 // Record stores one slow statement.
 func (l *SlowLog) Record(sp *Span) {
 	slowQueriesTotal.Inc()
-	l.mu.Lock()
-	l.buf[l.next] = sp
-	l.next = (l.next + 1) % len(l.buf)
-	l.n++
+	l.Tracer.mu.Lock()
+	l.put(sp)
 	out := l.out
-	l.mu.Unlock()
+	l.Tracer.mu.Unlock()
 	if out != nil {
 		fmt.Fprintf(out, "slow-query %s\n", sp) //nolint:errcheck // best-effort log stream
 	}
-}
-
-// Total returns how many slow statements have been recorded.
-func (l *SlowLog) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Recent returns the retained entries, oldest first.
-func (l *SlowLog) Recent() []*Span {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*Span, 0, len(l.buf))
-	for i := 0; i < len(l.buf); i++ {
-		if sp := l.buf[(l.next+i)%len(l.buf)]; sp != nil {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// Reset discards retained entries (for tests).
-func (l *SlowLog) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.buf {
-		l.buf[i] = nil
-	}
-	l.next = 0
-	l.n = 0
 }

@@ -552,17 +552,6 @@ func (tx *Tx) BuildColumnSegments(table string, hints map[string]int) (int, erro
 	return set.rows, nil
 }
 
-// ScanColumns exposes Table.ScanColumns under a transaction: partitioned
-// ranges over the sealed columnar snapshot when one covers cols, or false
-// for row-path fallback.
-func (tx *Tx) ScanColumns(table string, cols []int, n int, fn func(part, lo, hi int, set *SegmentSet)) (bool, error) {
-	t, err := tx.Table(table)
-	if err != nil {
-		return false, err
-	}
-	return t.ScanColumns(cols, n, fn), nil
-}
-
 // TableVersion returns the schema version of the named table, or 0 when no
 // such table exists. See Table.Version.
 func (tx *Tx) TableVersion(table string) int64 {

@@ -8,8 +8,8 @@ package reldb
 // read-mostly (segmentBuildAfter eligible reads with no intervening DML) or
 // explicitly via the SQL COMPACT statement, and are invalidated by any DML
 // or schema change through Table.noteDataChange/bumpVersion. The vectorized
-// aggregation path in internal/sqlexec reads them through Tx.ColumnSegments
-// and Table.ScanColumns.
+// aggregation path in internal/sqlexec reads them through Table.Segments
+// and Table.SegmentsLazy.
 //
 // Sealed means: once published via Table.colSeg the set is never mutated,
 // so concurrent readers may share it freely; freshness is a version compare
@@ -364,35 +364,6 @@ func (t *Table) BuildSegments(hints map[string]int) *SegmentSet {
 	mSegBuilds.Inc()
 	mSegBuildRows.Add(int64(set.rows))
 	return set
-}
-
-// ScanColumns is the columnar sibling of ScanPartitioned: when a fresh
-// segment set covers cols, it splits the row sequence into at most n
-// near-equal [lo,hi) ranges and calls fn once per partition in partition
-// order, then returns true. When no fresh covering set exists (yet), it
-// returns false without calling fn and the caller falls back to the row
-// path; the call still counts toward the lazy-build heuristic.
-func (t *Table) ScanColumns(cols []int, n int, fn func(part, lo, hi int, set *SegmentSet)) bool {
-	set := t.SegmentsLazy(nil)
-	if set == nil || !set.Covers(cols...) {
-		return false
-	}
-	total := set.rows
-	if total == 0 {
-		return true
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	for p := 0; p < n; p++ {
-		lo := p * total / n
-		hi := (p + 1) * total / n
-		fn(p, lo, hi, set)
-	}
-	return true
 }
 
 // noteDataChange invalidates the segment snapshot and resets the

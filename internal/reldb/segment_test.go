@@ -209,46 +209,6 @@ func TestSegmentLazyBuildHeuristic(t *testing.T) {
 	}
 }
 
-// TestScanColumnsPartitions: partition ranges must tile [0, rows) in order
-// with no gaps, and a missing column must force the row-path fallback.
-func TestScanColumnsPartitions(t *testing.T) {
-	const nrows = 1000
-	db := segFixture(t, nrows)
-	buildSet(t, db, nrows)
-	if err := db.Read(func(tx *Tx) error {
-		next := 0
-		parts := 0
-		ok, err := tx.ScanColumns("seg", []int{0, 3, 4}, 7, func(part, lo, hi int, set *SegmentSet) {
-			if part != parts {
-				t.Fatalf("partition %d delivered out of order (want %d)", part, parts)
-			}
-			if lo != next || hi <= lo {
-				t.Fatalf("partition %d = [%d,%d), want lo %d", part, lo, hi, next)
-			}
-			next = hi
-			parts++
-		})
-		if err != nil {
-			return err
-		}
-		if !ok || parts != 7 || next != nrows {
-			t.Fatalf("ScanColumns ok=%v parts=%d covered=%d, want true/7/%d", ok, parts, next, nrows)
-		}
-		bad, err := tx.ScanColumns("seg", []int{99}, 4, func(int, int, int, *SegmentSet) {
-			t.Fatal("callback ran for an uncovered column")
-		})
-		if err != nil {
-			return err
-		}
-		if bad {
-			t.Fatal("ScanColumns claimed coverage of a nonexistent column")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSegmentLifecycleRace is the -race lifecycle check: readers hold and
 // traverse sealed snapshots (and trigger rebuilds) while a writer issues
 // invalidating DML. A snapshot captured before an invalidation must stay

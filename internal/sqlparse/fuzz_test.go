@@ -49,6 +49,10 @@ func FuzzParse(f *testing.F) {
 	f.Add("INSERT INTO t (a) VALUES (?); DELETE FROM t WHERE a = ?")
 	f.Add("SELECT 'unterminated")
 	f.Add("-- just a comment\n")
+	// Catalog probes an operator types by hand; no code path issues them
+	// verbatim, so -dump-sql does not list them.
+	f.Add("SELECT sample_rate FROM OBS_TELEMETRY")
+	f.Add("SELECT COUNT(*) FROM PERFDMF_SPANS")
 	f.Fuzz(func(t *testing.T, src string) {
 		if st, err := Parse(src); err == nil && st == nil {
 			t.Fatalf("Parse(%q) returned nil statement and nil error", src)
