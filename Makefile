@@ -248,8 +248,13 @@ bench:
 bench-trace:
 	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 12x .
 
+# The paper's experiments (E1–E8, DESIGN.md §3) and the design ablations
+# (§4), five runs each so every number has a spread; EXPERIMENTS.md is
+# built from this output. The E1 sweep includes the 16K-processor trial
+# (1,654,784 data points, about 1.8 GB peak RSS). The run takes about 8
+# minutes on 2 vCPUs, close to go test's default 10-minute timeout.
 experiments:
-	$(GO) run ./cmd/experiments -quick
+	$(GO) test -run '^$$' -bench '^Benchmark(E[1-8]|Ablation)' -benchmem -count 5 -timeout 30m .
 
 clean:
 	rm -rf bin

@@ -122,7 +122,7 @@ func cmdLoad(args []string) error {
 	prefix := fs.String("prefix", "", "with -ranks: only files starting with this prefix")
 	suffix := fs.String("suffix", "", "with -ranks: only files ending with this suffix")
 	telemetry := fs.Bool("telemetry", false, "persist the load's span tree into the archive's PERFDMF_SPANS table (inspect with `perfdmf trace`)")
-	telBudget := fs.Float64("telemetry-budget", 0, "telemetry overhead budget in percent (0 defers to ?telemetrybudget then the default; negative disables sampling)")
+	telBudget := fs.Float64("telemetry-budget", 0, "telemetry overhead budget in percent (0 means the default; negative disables sampling)")
 	telRetainRows := fs.Int("telemetry-retain-rows", 0, "cap PERFDMF_SPANS/PERFDMF_SLOWLOG at this many rows (0 = default cap, negative = uncapped)")
 	telRetainAge := fs.Duration("telemetry-retain-age", 0, "prune telemetry rows older than this (0 disables age pruning)")
 	historyEvery := fs.Duration("history-every", 0, "with -telemetry: scrape metrics into PERFDMF_METRICS_HISTORY and evaluate alert rules on this cadence (0 = off)")

@@ -25,7 +25,7 @@ type serveConfig struct {
 	interval   time.Duration // runtime-collector sampling interval
 	telemetry  bool          // persist spans into PERFDMF_SPANS / PERFDMF_SLOWLOG
 	flush      time.Duration // how often the telemetry writer pulls buffered spans
-	telBudget  float64       // telemetry overhead budget pct (0 = DSN/default)
+	telBudget  float64       // telemetry overhead budget pct (0 = default)
 	retainAge  time.Duration // prune telemetry rows older than this (0 = off)
 	retainRows int           // telemetry table row cap (0 = default, <0 = off)
 	history    time.Duration // metric-history scrape + alert-eval cadence (0 = off)
@@ -177,7 +177,7 @@ func cmdServe(args []string) error {
 	interval := fs.Duration("interval", 5*time.Second, "runtime collector sampling interval")
 	telemetry := fs.Bool("telemetry", true, "persist spans and slow queries into PERFDMF_SPANS/PERFDMF_SLOWLOG")
 	flush := fs.Duration("flush", time.Second, "how often the telemetry writer pulls buffered spans")
-	telBudget := fs.Float64("telemetry-budget", 0, "telemetry overhead budget in percent (0 defers to ?telemetrybudget then the default; negative disables sampling)")
+	telBudget := fs.Float64("telemetry-budget", 0, "telemetry overhead budget in percent (0 means the default; negative disables sampling)")
 	retainAge := fs.Duration("telemetry-retain-age", 0, "prune telemetry rows older than this (0 disables age pruning)")
 	retainRows := fs.Int("telemetry-retain-rows", 0, "cap telemetry tables at this many rows (0 = default cap, negative = uncapped)")
 	history := fs.Duration("history", time.Second, "metric-history scrape and alert-evaluation cadence (0 disables; needs -telemetry)")

@@ -2,9 +2,10 @@ package perfdmf
 
 // End-to-end integration test: the full pipeline a real deployment runs —
 // generate tool output on disk, auto-detect and parse every format, store
-// everything in one durable archive, reopen it, run the speedup analyzer
-// and the PerfExplorer server over the same archive, derive a metric,
-// apply the profile algebra, and export to XML. One test, every layer.
+// everything in one durable archive and reload each format's trial, reopen
+// the archive, run the speedup analyzer and the PerfExplorer server over
+// it, derive a metric, apply the profile algebra, and export to XML. One
+// test, every layer.
 
 import (
 	"os"
@@ -49,8 +50,17 @@ func TestFullPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
-		if _, err := s.UploadTrial(p, core.UploadOptions{TrialName: format}); err != nil {
+		trial, err := s.UploadTrial(p, core.UploadOptions{TrialName: format})
+		if err != nil {
 			t.Fatalf("%s: %v", format, err)
+		}
+		loaded, err := s.LoadTrial(trial.ID)
+		if err != nil {
+			t.Fatalf("%s reload: %v", format, err)
+		}
+		if p.DataPoints() == 0 || loaded.DataPoints() != p.DataPoints() || loaded.NumThreads() != p.NumThreads() {
+			t.Fatalf("%s: reloaded %d data points on %d threads, parsed %d on %d",
+				format, loaded.DataPoints(), loaded.NumThreads(), p.DataPoints(), p.NumThreads())
 		}
 	}
 
@@ -132,7 +142,7 @@ func TestFullPipeline(t *testing.T) {
 	for i := range aligned {
 		aligned[i] = truth[i]
 	}
-	if got := agreementScore(resp.Cluster.Assignments, aligned, 3); got < 0.9 {
+	if got := clusterAgreement(resp.Cluster.Assignments, aligned, 3); got < 0.9 {
 		t.Fatalf("clustering agreement: %g", got)
 	}
 
@@ -185,24 +195,4 @@ func TestFullPipeline(t *testing.T) {
 	if fi, err := os.Stat(xmlPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("xml file: %v", err)
 	}
-}
-
-func agreementScore(assign, truth []int, k int) float64 {
-	match := 0
-	for c := 0; c < k; c++ {
-		counts := map[int]int{}
-		for i, a := range assign {
-			if a == c {
-				counts[truth[i]]++
-			}
-		}
-		best := 0
-		for _, n := range counts {
-			if n > best {
-				best = n
-			}
-		}
-		match += best
-	}
-	return float64(match) / float64(len(assign))
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"perfdmf/internal/godbc"
 	"perfdmf/internal/model"
+	"perfdmf/internal/obs"
+	"perfdmf/internal/synth"
 )
 
 var sessCounter int
@@ -231,6 +234,52 @@ func TestUploadAndLoadTrialRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadTrialIndexAccess pins the access path of LoadTrial's profile
+// read, from its traced statement: index access through ix_ilp_event while
+// the index exists, and a full scan returning the same profile once it is
+// dropped. The archive holds three trials, so a scan also reads other
+// trials' rows.
+func TestLoadTrialIndexAccess(t *testing.T) {
+	s := openSession(t)
+	var want *model.Profile
+	var trial *Trial
+	for i := 0; i < 3; i++ {
+		want = synth.LargeTrial(synth.LargeTrialConfig{Threads: 16, Events: 10, Metrics: 1, Seed: int64(i)})
+		trial = setupTrial(t, s, want)
+	}
+	defer obs.SetTracing(obs.TracingEnabled())
+	obs.SetTracing(true)
+	load := func() (*model.Profile, *obs.Span) {
+		t.Helper()
+		obs.DefaultTracer.Reset()
+		p, err := s.LoadTrial(trial.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range obs.DefaultTracer.Recent() {
+			if strings.Contains(sp.Statement, "FROM interval_location_profile") {
+				return p, sp
+			}
+		}
+		t.Fatal("LoadTrial traced no read of interval_location_profile")
+		return nil, nil
+	}
+
+	indexed, sp := load()
+	if !sp.IndexUsed || !strings.HasPrefix(sp.PlanSummary, "index access") {
+		t.Fatalf("with ix_ilp_event: index used %v, plan %q; want index access", sp.IndexUsed, sp.PlanSummary)
+	}
+	compareFuzz(t, 0, want, indexed)
+	if _, err := s.Conn().Exec("DROP INDEX ix_ilp_event ON interval_location_profile"); err != nil {
+		t.Fatal(err)
+	}
+	scanned, sp := load()
+	if sp.IndexUsed || !strings.HasPrefix(sp.PlanSummary, "full scan") {
+		t.Fatalf("without ix_ilp_event: index used %v, plan %q; want full scan", sp.IndexUsed, sp.PlanSummary)
+	}
+	compareFuzz(t, 1, want, scanned)
+}
+
 func TestTrialListAndFiltering(t *testing.T) {
 	s := openSession(t)
 	p := sampleProfile("t1")
@@ -311,6 +360,35 @@ func TestSummaries(t *testing.T) {
 	}
 	if math.Abs(total[0].Exclusive-wantMean*4) > 1e-6 {
 		t.Errorf("total exclusive: %g want %g", total[0].Exclusive, wantMean*4)
+	}
+	// The precomputed mean equals aggregating the profile table on demand.
+	rows, err := s.Conn().Query(`
+		SELECT e.name, AVG(p.exclusive)
+		FROM interval_event e
+		JOIN interval_location_profile p ON p.interval_event = e.id
+		JOIN metric m ON p.metric = m.id
+		WHERE e.trial = ? AND m.name = 'TIME'
+		GROUP BY e.name`, trial.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDemand := map[string]float64{}
+	for rows.Next() {
+		var name string
+		var avg float64
+		if err := rows.Scan(&name, &avg); err != nil {
+			t.Fatal(err)
+		}
+		onDemand[name] = avg
+	}
+	rows.Close()
+	if len(onDemand) != len(mean) {
+		t.Fatalf("on-demand aggregate: %v, precomputed %v", onDemand, mean)
+	}
+	for _, r := range mean {
+		if math.Abs(onDemand[r.EventName]-r.Exclusive) > 1e-6 {
+			t.Errorf("%s: on-demand mean %g, precomputed %g", r.EventName, onDemand[r.EventName], r.Exclusive)
+		}
 	}
 	// Unknown metric yields empty, not error.
 	none, err := s.MeanSummary("NOPE")
@@ -572,9 +650,12 @@ func TestDeleteTrial(t *testing.T) {
 
 func TestFlexibleSchemaEndToEnd(t *testing.T) {
 	s := openSession(t)
-	// E6 scenario: the analysis team adds a compiler column at runtime.
-	if _, err := s.Conn().Exec(
-		"ALTER TABLE application ADD COLUMN compiler VARCHAR"); err != nil {
+	// E6 scenario: the analysis team adds a compiler column and a
+	// defaulted os_release column at runtime.
+	if _, err := s.Conn().Exec("ALTER TABLE application ADD COLUMN compiler VARCHAR"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Conn().Exec("ALTER TABLE application ADD COLUMN os_release VARCHAR DEFAULT 'AIX 5.2'"); err != nil {
 		t.Fatal(err)
 	}
 	app := &Application{Name: "withcc", Fields: map[string]any{"compiler": "xlf 8.1"}}
@@ -582,16 +663,16 @@ func TestFlexibleSchemaEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	apps, _ := s.ApplicationList()
-	if apps[0].Fields["compiler"] != "xlf 8.1" {
-		t.Fatalf("flexible column lost: %v", apps[0].Fields)
+	if apps[0].Fields["compiler"] != "xlf 8.1" || apps[0].Fields["os_release"] != "AIX 5.2" {
+		t.Fatalf("flexible columns lost: %v", apps[0].Fields)
 	}
-	// Dropping it removes the field from subsequent loads.
+	// Dropping one removes that field, and only it, from subsequent loads.
 	if _, err := s.Conn().Exec("ALTER TABLE application DROP COLUMN compiler"); err != nil {
 		t.Fatal(err)
 	}
 	apps, _ = s.ApplicationList()
-	if _, ok := apps[0].Fields["compiler"]; ok {
-		t.Fatalf("dropped column still present: %v", apps[0].Fields)
+	if _, ok := apps[0].Fields["compiler"]; ok || apps[0].Fields["os_release"] != "AIX 5.2" {
+		t.Fatalf("after dropping compiler: %v", apps[0].Fields)
 	}
 }
 

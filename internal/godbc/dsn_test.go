@@ -8,18 +8,6 @@ import (
 	"time"
 )
 
-// resolveTelemetryBudget is the budget a telemetry store opened on dsn
-// gets when its options carry the explicit budget: the DSN parsed as the
-// store's connection parses it, then the store's precedence.
-func resolveTelemetryBudget(dsn string, explicit float64) (float64, error) {
-	scheme, rest, _ := strings.Cut(dsn, ":")
-	o, err := parseDSN(rest, scheme == "file")
-	if err != nil {
-		return 0, err
-	}
-	return o.telemetryBudget(explicit), nil
-}
-
 // canonicalDSN re-encodes parsed options with one spelling per value,
 // omitting only the options whose absence parses to the same value.
 func canonicalDSN(o connOptions, file bool) string {
@@ -32,7 +20,6 @@ func canonicalDSN(o connOptions, file bool) string {
 	q := []string{
 		"readonly=" + b(o.readonly),
 		"columnar=" + b(o.columnar),
-		"telemetrybudget=" + strconv.FormatFloat(o.budget, 'g', -1, 64),
 	}
 	if o.workers != 0 {
 		q = append(q, "workers="+strconv.Itoa(o.workers))
@@ -58,7 +45,7 @@ func TestParseDSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := connOptions{path: "db", columnar: true, budget: DefaultTelemetryBudgetPct}
+	want := connOptions{path: "db", columnar: true}
 	if !reflect.DeepEqual(o, want) {
 		t.Fatalf("defaults = %+v, want %+v", o, want)
 	}
@@ -71,15 +58,15 @@ func TestParseDSN(t *testing.T) {
 			t.Errorf("parseDSN(%q) workers = %d, %v; want %d", tc.rest, o.workers, err, tc.workers)
 		}
 	}
-	o, err = parseDSN("/d?readonly=yes&trace=no&slowms=7&columnar=false&telemetrybudget=2.5&sync=true&checkpoint=9", true)
+	o, err = parseDSN("/d?readonly=yes&trace=no&slowms=7&columnar=false&sync=true&checkpoint=9", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !o.readonly || !o.obs.traceSet || o.obs.trace || !o.obs.slowSet || o.obs.slow != 7*time.Millisecond ||
-		o.columnar || o.budget != 2.5 || !o.store.Sync || o.store.CheckpointEvery != 9 || o.path != "/d" {
+		o.columnar || !o.store.Sync || o.store.CheckpointEvery != 9 || o.path != "/d" {
 		t.Fatalf("parsed %+v", o)
 	}
-	for _, bad := range []string{"db?telemetrybudget=NaN", "db?telemetrybudget=+Inf", "db?slowms=9223372036855"} {
+	for _, bad := range []string{"db?slowms=9223372036855"} {
 		if _, err := parseDSN(bad, false); err == nil {
 			t.Errorf("parseDSN(%q) accepted", bad)
 		}
@@ -93,9 +80,9 @@ func TestParseDSN(t *testing.T) {
 func FuzzOpenDSN(f *testing.F) {
 	for _, seed := range []string{
 		"fz", "fz?", "fz?&", "fz?=1", "fz?trace", "fz?trce=1", "fz?readonly=on",
-		"fz?trace=1&slowms=50&readonly=0&workers=0&columnar=no&telemetrybudget=0",
-		"fz?workers=8&telemetrybudget=2.5&trace=yes&trace=no", "fz?slowms=-1",
-		"fz?telemetrybudget=1e-3", "fz?telemetrybudget=NaN", "fz?sync=1&checkpoint=10",
+		"fz?trace=1&slowms=50&readonly=0&workers=0&columnar=no",
+		"fz?workers=8&trace=yes&trace=no", "fz?slowms=-1",
+		"fz?slowms=1e-3", "fz?workers=NaN", "fz?sync=1&checkpoint=10",
 		"fz?workers=+3", "fz?slowms=007", "a?b?c=d",
 	} {
 		f.Add(seed)

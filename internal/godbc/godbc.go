@@ -21,7 +21,6 @@
 //	slowms           both    integer >= 0   global setting
 //	workers          both    integer >= 0   GOMAXPROCS
 //	columnar         both    boolean        1
-//	telemetrybudget  both    number >= 0    DefaultTelemetryBudgetPct
 //	sync             file    boolean        0
 //	checkpoint       file    integer >= 0   0 (never)
 //
@@ -32,11 +31,8 @@
 // unset, both defer to the obs configuration (PERFDMF_TRACE and
 // PERFDMF_SLOW_MS).
 // workers caps the goroutines a SELECT may use (0 and 1 run serially);
-// columnar=0 forces the row path. telemetrybudget is the overhead budget
-// in percent that StartTelemetry's sampling governor enforces when no
-// explicit budget is passed; other connections only validate it. sync=1
-// fsyncs every commit, and checkpoint=N rewrites the snapshot every N
-// logged operations.
+// columnar=0 forces the row path. sync=1 fsyncs every commit, and
+// checkpoint=N rewrites the snapshot every N logged operations.
 package godbc
 
 import (
@@ -197,7 +193,6 @@ type connOptions struct {
 	// columnar enables the vectorized aggregation path (default on). Off
 	// forces row-at-a-time execution for comparison runs.
 	columnar bool
-	budget   float64       // ?telemetrybudget, else DefaultTelemetryBudgetPct
 	store    reldb.Options // ?sync and ?checkpoint (file: only)
 }
 
@@ -232,11 +227,6 @@ var dsnOptions = []dsnOption{
 	{"sync", true, "a boolean", func(o *connOptions, v string) (ok bool) {
 		o.store.Sync, ok = dsnBool(v)
 		return ok
-	}},
-	{"telemetrybudget", false, "a non-negative number", func(o *connOptions, v string) bool {
-		pct, err := strconv.ParseFloat(v, 64)
-		o.budget = pct
-		return err == nil && pct >= 0 && !math.IsInf(pct, 1)
 	}},
 	{"trace", false, "a boolean", func(o *connOptions, v string) (ok bool) {
 		o.obs.traceSet = true
@@ -273,7 +263,7 @@ func dsnInt(v string, limit int64) (int, bool) {
 // believing tracing is on.
 func parseDSN(rest string, file bool) (connOptions, error) {
 	path, query, _ := strings.Cut(rest, "?")
-	o := connOptions{path: path, columnar: true, budget: DefaultTelemetryBudgetPct}
+	o := connOptions{path: path, columnar: true}
 	if file && path == "" {
 		return o, fmt.Errorf("godbc: file DSN needs a directory path")
 	}

@@ -129,8 +129,7 @@ const telemetryStatementMax = 512 // stored statement text cap, bytes
 // code see the same numbers.
 const (
 	// DefaultTelemetryBudgetPct is the end-to-end overhead budget the
-	// sampling governor enforces when neither TelemetryOptions.BudgetPct
-	// nor the DSN's ?telemetrybudget option sets one.
+	// sampling governor enforces when TelemetryOptions.BudgetPct sets none.
 	DefaultTelemetryBudgetPct = 5.0
 	// DefaultTelemetryRetainRows caps PERFDMF_SPANS / PERFDMF_SLOWLOG at
 	// this many rows unless the caller picks a cap (or disables it with a
@@ -156,9 +155,8 @@ type TelemetryOptions struct {
 	// buffer (default 25ms).
 	FlushEvery time.Duration
 	// BudgetPct is the end-to-end overhead budget (percent) the sampling
-	// governor targets. 0 defers to the DSN's ?telemetrybudget option and
-	// then DefaultTelemetryBudgetPct; negative disables the governor (every
-	// span is kept).
+	// governor targets. 0 means DefaultTelemetryBudgetPct; negative
+	// disables the governor (every span is kept).
 	BudgetPct float64
 	// RetainAge prunes spans and slow-log rows whose start_time is older
 	// (0 disables age pruning).
@@ -244,8 +242,8 @@ type TelemetryStore struct {
 // (mem: names and file: directories share one engine across connections),
 // so the telemetry lands next to the profile data and is queryable with the
 // same SQL. The sampling governor is created here from the resolved budget
-// (options, then ?telemetrybudget, then the default), and so is the sink the
-// writer pulls from; StartTelemetry installs it.
+// (the option, else the default), and so is the sink the writer pulls
+// from; StartTelemetry installs it.
 func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error) {
 	o = o.withDefaults()
 	dc, err := Open(dsn)
@@ -292,7 +290,7 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 		return nil, fmt.Errorf("godbc: telemetry prepare: %w", err)
 	}
 	var gov *obs.Governor
-	if budget := c.telemetryBudget(o.BudgetPct); budget > 0 {
+	if budget := telemetryBudget(o.BudgetPct); budget > 0 {
 		gov = obs.NewGovernor(budget)
 	}
 	ts := &TelemetryStore{
@@ -318,17 +316,17 @@ func OpenTelemetryStore(dsn string, o TelemetryOptions) (*TelemetryStore, error)
 	return ts, nil
 }
 
-// telemetryBudget picks the governor budget: an explicit option wins, then
-// the DSN's ?telemetrybudget, then the default. Negative (or
-// telemetrybudget=0) disables the governor and returns 0.
-func (o connOptions) telemetryBudget(explicit float64) float64 {
+// telemetryBudget picks the governor budget: an explicit option wins, 0
+// means the default, and a negative budget disables the governor and
+// returns 0.
+func telemetryBudget(explicit float64) float64 {
 	switch {
 	case explicit < 0:
 		return 0
 	case explicit > 0:
 		return explicit
 	}
-	return o.budget
+	return DefaultTelemetryBudgetPct
 }
 
 // take is the sink's store callback: the writer's pulls hand it the

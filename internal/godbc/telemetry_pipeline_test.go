@@ -281,54 +281,23 @@ func TestTelemetryPruneStallsBehindWorkload(t *testing.T) {
 	}
 }
 
-// TestTelemetryBudgetResolution covers the budget precedence — explicit
-// option over DSN option over default — and the DSN option's validation on
-// ordinary connections.
+// TestTelemetryBudgetResolution covers the budget precedence: an explicit
+// budget wins, 0 means the default, and a negative budget disables the
+// governor.
 func TestTelemetryBudgetResolution(t *testing.T) {
-	cases := []struct {
-		dsn      string
-		explicit float64
-		want     float64
-	}{
-		{"mem:b", 2, 2},                       // explicit wins
-		{"mem:b?telemetrybudget=3.5", 2, 2},   // explicit beats DSN
-		{"mem:b?telemetrybudget=3.5", 0, 3.5}, // DSN option
-		{"mem:b", 0, DefaultTelemetryBudgetPct},
-		{"mem:b?telemetrybudget=3.5", -1, 0}, // negative disables
-		{"mem:b?telemetrybudget=0", 0, 0},    // explicit zero in the DSN disables
-	}
-	for _, tc := range cases {
-		got, err := resolveTelemetryBudget(tc.dsn, tc.explicit)
-		if err != nil {
-			t.Errorf("resolveTelemetryBudget(%q, %v): %v", tc.dsn, tc.explicit, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("resolveTelemetryBudget(%q, %v) = %v, want %v", tc.dsn, tc.explicit, got, tc.want)
+	for _, tc := range []struct{ explicit, want float64 }{
+		{2, 2},
+		{0, DefaultTelemetryBudgetPct},
+		{-1, 0},
+	} {
+		if got := telemetryBudget(tc.explicit); got != tc.want {
+			t.Errorf("telemetryBudget(%v) = %v, want %v", tc.explicit, got, tc.want)
 		}
 	}
-	if _, err := resolveTelemetryBudget("mem:b?telemetrybudget=fast", 0); err == nil {
-		t.Error("bad telemetrybudget value resolved without error")
-	}
 
-	// The option is a first-class DSN key: ordinary connections accept it
-	// (and validate it) even though only the telemetry store reads it.
-	c, err := Open("mem:budgetopt?telemetrybudget=5")
-	if err != nil {
-		t.Fatalf("Open with telemetrybudget: %v", err)
-	}
-	c.Close()
-	if _, err := Open("mem:budgetopt?telemetrybudget=fast"); err == nil ||
-		!strings.Contains(err.Error(), "not a non-negative number") {
-		t.Fatalf("Open with bad telemetrybudget = %v, want validation error", err)
-	}
-	if _, err := Open("mem:budgetopt?telemetrybudget=-1"); err == nil {
-		t.Fatal("Open accepted a negative telemetrybudget")
-	}
-
-	// End to end: the DSN budget reaches the governor; a negative explicit
+	// End to end: the explicit budget reaches the governor; a negative
 	// budget disables it.
-	st, err := OpenTelemetryStore("mem:budgetopt?telemetrybudget=2.5", TelemetryOptions{})
+	st, err := OpenTelemetryStore("mem:budgetopt", TelemetryOptions{BudgetPct: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +305,7 @@ func TestTelemetryBudgetResolution(t *testing.T) {
 		t.Fatalf("governor budget = %v, want 2.5", g.BudgetPct())
 	}
 	st.Close()
-	st2, err := OpenTelemetryStore("mem:budgetopt?telemetrybudget=2.5", TelemetryOptions{BudgetPct: -1})
+	st2, err := OpenTelemetryStore("mem:budgetopt", TelemetryOptions{BudgetPct: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,20 +54,27 @@ func agreement(assign, truth []int, k int) float64 {
 	return float64(match) / float64(len(assign))
 }
 
+// TestKMeansRecoversBlobs runs k-means++ seeding and, as the seeding
+// ablation does, uniform seeding with a single restart.
 func TestKMeansRecoversBlobs(t *testing.T) {
 	rows, truth := blobs(300, 3, 6, 1)
-	cl, err := KMeans(rows, KMeansConfig{K: 3, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := agreement(cl.Assignments, truth, 3); got < 0.98 {
-		t.Fatalf("agreement = %g", got)
-	}
-	if cl.Sizes[0]+cl.Sizes[1]+cl.Sizes[2] != 300 {
-		t.Fatalf("sizes: %v", cl.Sizes)
-	}
-	if cl.RSS <= 0 {
-		t.Fatalf("rss: %g", cl.RSS)
+	for _, cfg := range []KMeansConfig{
+		{K: 3, Seed: 42},
+		{K: 3, Seed: 42, PlainRNG: true, Restarts: 1},
+	} {
+		cl, err := KMeans(rows, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := agreement(cl.Assignments, truth, 3); got < 0.98 {
+			t.Fatalf("%+v: agreement = %g", cfg, got)
+		}
+		if cl.Sizes[0]+cl.Sizes[1]+cl.Sizes[2] != 300 {
+			t.Fatalf("%+v: sizes: %v", cfg, cl.Sizes)
+		}
+		if cl.RSS <= 0 {
+			t.Fatalf("%+v: rss: %g", cfg, cl.RSS)
+		}
 	}
 }
 
