@@ -175,19 +175,19 @@ telemetry-smoke:
 	$(GO) build -o bin/perfdmf ./cmd/perfdmf
 	@rm -rf bin/telemetry-smoke && mkdir -p bin/telemetry-smoke/db
 	bin/perfdmf synth -o bin/telemetry-smoke/fixtures > /dev/null
-	bin/perfdmf load -db file:bin/telemetry-smoke/db -telemetry -telemetry-budget=-1 -telemetry-retain-rows=50 -app smoke -exp e1 bin/telemetry-smoke/fixtures/tau-run > bin/telemetry-smoke/load.out
+	bin/perfdmf load -db file:bin/telemetry-smoke/db -telemetry -telemetry-budget=-1 -telemetry-retain-rows=20 -app smoke -exp e1 bin/telemetry-smoke/fixtures/tau-run > bin/telemetry-smoke/load.out
 	@stored=$$(sed -n 's/^telemetry: stored=\([0-9][0-9]*\).*/\1/p' bin/telemetry-smoke/load.out); \
 	pruned=$$(sed -n 's/^telemetry: .* pruned_spans=\([0-9][0-9]*\).*/\1/p' bin/telemetry-smoke/load.out); \
 	dropped=$$(sed -n 's/^telemetry: .* dropped=\([0-9][0-9]*\).*/\1/p' bin/telemetry-smoke/load.out); \
 	if [ -z "$$stored" ]; then echo "telemetry-smoke: load printed no pipeline summary"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
 	if [ "$$stored" -le 0 ]; then echo "telemetry-smoke: stored=$$stored, want > 0"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
 	if [ "$$dropped" != 0 ]; then echo "telemetry-smoke: dropped=$$dropped, want 0"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
-	if [ -z "$$pruned" ] || [ "$$pruned" -le 0 ]; then echo "telemetry-smoke: pruned_spans=$$pruned, want > 0 (cap 50)"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
+	if [ -z "$$pruned" ] || [ "$$pruned" -le 0 ]; then echo "telemetry-smoke: pruned_spans=$$pruned, want > 0 (cap 20)"; cat bin/telemetry-smoke/load.out; exit 1; fi; \
 	echo "telemetry-smoke: stored=$$stored dropped=$$dropped pruned_spans=$$pruned"
 	bin/perfdmf sql -db file:bin/telemetry-smoke/db "SELECT COUNT(*) FROM PERFDMF_SPANS" > bin/telemetry-smoke/count.out
 	@n=$$(sed -n '2p' bin/telemetry-smoke/count.out | tr -d '[:space:]'); \
-	if [ -z "$$n" ] || [ "$$n" -lt 1 ] || [ "$$n" -gt 50 ]; then \
-		echo "telemetry-smoke: PERFDMF_SPANS has $$n rows, want 1..50"; cat bin/telemetry-smoke/count.out; exit 1; \
+	if [ -z "$$n" ] || [ "$$n" -lt 1 ] || [ "$$n" -gt 20 ]; then \
+		echo "telemetry-smoke: PERFDMF_SPANS has $$n rows, want 1..20"; cat bin/telemetry-smoke/count.out; exit 1; \
 	fi; \
 	echo "telemetry-smoke: ok ($$n spans retained)"
 	bin/perfdmf sql -db file:bin/telemetry-smoke/db "SELECT active, sample_rate, retain_rows FROM OBS_TELEMETRY" > bin/telemetry-smoke/catalog.out

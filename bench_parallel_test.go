@@ -1,9 +1,10 @@
 package perfdmf
 
 // Benchmarks for the parallel query executor (ROADMAP: parallel execution
-// layer). One Miranda-scale trial (≥1M data points) is uploaded once and
-// shared; each benchmark then sweeps the ?workers=N budget so the scan and
-// GROUP BY paths can be compared serial vs parallel with benchstat. On a
+// layer). The scan and GROUP BY benchmarks each upload one Miranda-scale
+// trial (≥1M data points), sweep the ?workers=N budget over it so the paths
+// can be compared serial vs parallel with benchstat, and drop it when they
+// finish. On a
 // single-core runner the parallel rows are correctness exercise only —
 // check the reported gomaxprocs metric before reading them as speedups.
 
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"perfdmf/internal/core"
@@ -22,34 +22,16 @@ import (
 
 const parallelBenchDSN = "mem:bench_parallel_shared"
 
-var parallelBenchOnce sync.Once
-
-// parallelBenchSetup uploads the shared trial on first use (10240 threads ×
-// 101 events ≈ 1.03M interval_location_profile rows).
+// parallelBenchSetup uploads the shared trial (10240 threads × 101 events
+// ≈ 1.03M interval_location_profile rows) and drops it when the benchmark
+// finishes: its ~500 MB would otherwise stay live under every later
+// benchmark of the run.
 func parallelBenchSetup(b *testing.B) {
 	b.Helper()
-	var err error
-	parallelBenchOnce.Do(func() {
-		var s *core.DataSession
-		s, err = core.Open(parallelBenchDSN)
-		if err != nil {
-			return
-		}
-		defer s.Close()
-		app := &core.Application{Name: "bench-parallel"}
-		if err = s.SaveApplication(app); err != nil {
-			return
-		}
-		s.SetApplication(app)
-		exp := &core.Experiment{Name: "bench-parallel"}
-		if err = s.SaveExperiment(exp); err != nil {
-			return
-		}
-		s.SetExperiment(exp)
-		p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 10240, Events: 101, Metrics: 1, Seed: 1})
-		_, err = s.UploadTrial(p, core.UploadOptions{})
-	})
-	if err != nil {
+	s, drop := memArchive(b, parallelBenchDSN)
+	b.Cleanup(drop)
+	p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 10240, Events: 101, Metrics: 1, Seed: 1})
+	if _, err := s.UploadTrial(p, core.UploadOptions{}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -205,17 +187,21 @@ func BenchmarkParallelGroupBy(b *testing.B) {
 
 // BenchmarkPlanCache pits the statement/plan cache's hit path (one text,
 // repeated) against guaranteed misses (a distinct text every iteration).
+// Both read one metric row, so a small trial serves.
 func BenchmarkPlanCache(b *testing.B) {
-	parallelBenchSetup(b)
+	s := benchArchive(b, "plancache")
+	p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 4, Events: 8, Metrics: 1, Seed: 1})
+	if _, err := s.UploadTrial(p, core.UploadOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	c := s.Conn()
 	b.Run("hit", func(b *testing.B) {
-		c := benchWorkersConn(b, 0, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			drainQuery(b, c, "SELECT id, name FROM metric WHERE id = ?", 1)
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		c := benchWorkersConn(b, 0, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Unique LIMIT keeps every text distinct (guaranteed reparse)

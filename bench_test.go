@@ -54,12 +54,15 @@ func benchArchive(b *testing.B, tag string) *core.DataSession {
 func memArchive(b *testing.B, dsn string) (*core.DataSession, func()) {
 	b.Helper()
 	s := newBenchSession(b, dsn)
-	return s, func() {
-		if err := s.Close(); err != nil {
-			b.Error(err)
-		}
-		godbc.DropMemory(strings.TrimPrefix(dsn, "mem:"))
+	return s, func() { dropArchive(b, s, dsn) }
+}
+
+// dropArchive closes s and drops its mem: database dsn.
+func dropArchive(b *testing.B, s *core.DataSession, dsn string) {
+	if err := s.Close(); err != nil {
+		b.Error(err)
 	}
+	godbc.DropMemory(strings.TrimPrefix(dsn, "mem:"))
 }
 
 // newBenchSession opens a session on dsn with app+experiment selected; the
@@ -129,17 +132,28 @@ func BenchmarkE1LargeTrialUpload(b *testing.B) {
 }
 
 // BenchmarkE1LargeTrialLoad measures the full-trial download, which must
-// return every uploaded data point.
+// return every uploaded data point. Each size's archive is uploaded on the
+// sub-benchmark's first call, reused by the calls that probe b.N, and
+// dropped before the next size; it is built inside the sub-benchmark so a
+// -bench filter that skips the size skips its upload too.
 func BenchmarkE1LargeTrialLoad(b *testing.B) {
 	for _, threads := range e1Threads {
+		dsn := benchDSN("e1load")
+		var (
+			s      *core.DataSession
+			trial  *core.Trial
+			points int
+		)
 		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
-			s := benchArchive(b, "e1load")
-			p := synth.LargeTrial(synth.LargeTrialConfig{Threads: threads, Events: 101, Metrics: 1, Seed: 1})
-			trial, err := s.UploadTrial(p, core.UploadOptions{})
-			if err != nil {
-				b.Fatal(err)
+			if s == nil {
+				s = newBenchSession(b, dsn)
+				p := synth.LargeTrial(synth.LargeTrialConfig{Threads: threads, Events: 101, Metrics: 1, Seed: 1})
+				var err error
+				if trial, err = s.UploadTrial(p, core.UploadOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				points = p.DataPoints()
 			}
-			points := float64(p.DataPoints())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -147,12 +161,15 @@ func BenchmarkE1LargeTrialLoad(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if loaded.DataPoints() != p.DataPoints() {
-					b.Fatalf("reloaded %d data points, want %d", loaded.DataPoints(), p.DataPoints())
+				if loaded.DataPoints() != points {
+					b.Fatalf("reloaded %d data points, want %d", loaded.DataPoints(), points)
 				}
 			}
-			b.ReportMetric(points*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+			b.ReportMetric(float64(points)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 		})
+		if s != nil {
+			dropArchive(b, s, dsn)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -556,6 +557,87 @@ func TestSaveDerivedMetric(t *testing.T) {
 	}
 }
 
+// TestSaveDerivedMetricSummaries checks a derived metric's summary rows:
+// their values and percentages equal the model's summary of that metric,
+// and they lie in the slots in the base metric's event order. Derived
+// summary rows once followed map iteration order, so rows with tied
+// exclusive values came back from MeanSummary in a different order from
+// run to run.
+func TestSaveDerivedMetricSummaries(t *testing.T) {
+	s := openSession(t)
+	trial := setupTrial(t, s, synth.LargeTrial(synth.LargeTrialConfig{Threads: 8, Events: 13, Metrics: 2, Seed: 5}))
+	p, err := s.LoadTrial(trial.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := p.DeriveMetric("CYC_PER_US", model.Ratio("PAPI_TOT_CYC", "TIME", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := s.SaveDerivedMetric(trial.ID, p, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetTrial(trial)
+	metrics, err := s.MetricList()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := metrics[0]
+	for _, kind := range []struct {
+		table   string
+		summary *model.Summary
+		rows    func(string) ([]SummaryRow, error)
+	}{
+		{"interval_total_summary", p.TotalSummary(), s.TotalSummary},
+		{"interval_mean_summary", p.MeanSummary(), s.MeanSummary},
+	} {
+		maxIncl, totalExcl := 0.0, 0.0
+		for _, agg := range kind.summary.Events {
+			totalExcl += agg.PerMetric[mid].Exclusive
+			maxIncl = math.Max(maxIncl, agg.PerMetric[mid].Inclusive)
+		}
+		rows, err := kind.rows("CYC_PER_US")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(kind.summary.Events) {
+			t.Fatalf("%s: %d derived rows, want %d", kind.table, len(rows), len(kind.summary.Events))
+		}
+		for _, r := range rows {
+			agg := kind.summary.Events[p.FindIntervalEvent(r.EventName).ID]
+			md := agg.PerMetric[mid]
+			if r.Inclusive != md.Inclusive || r.Exclusive != md.Exclusive || r.Calls != agg.NumCalls || r.Subrs != agg.NumSubrs {
+				t.Errorf("%s %q: %+v, want %+v calls %g subrs %g", kind.table, r.EventName, r, md, agg.NumCalls, agg.NumSubrs)
+			}
+			inclPct, exclPct := 100*md.Inclusive/maxIncl, 100*md.Exclusive/totalExcl
+			if math.Abs(r.InclPct-inclPct) > 1e-9*inclPct || math.Abs(r.ExclPct-exclPct) > 1e-9*exclPct {
+				t.Errorf("%s %q: percentages %g/%g, want %g/%g", kind.table, r.EventName, r.InclPct, r.ExclPct, inclPct, exclPct)
+			}
+		}
+		// Slot order: the rows as stored, without ORDER BY.
+		slots := func(metric int64) []int64 {
+			rows, err := s.Conn().Query("SELECT interval_event FROM "+kind.table+" WHERE metric = ?", metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			var out []int64
+			for rows.Next() {
+				var id int64
+				if err := rows.Scan(&id); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, id)
+			}
+			return out
+		}
+		if got, want := slots(derived.ID), slots(base.ID); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: derived rows in event order %v, base metric's %v", kind.table, got, want)
+		}
+	}
+}
+
 // countRows returns SELECT COUNT(*) FROM table.
 func countRows(t *testing.T, s *DataSession, table string) int64 {
 	t.Helper()
@@ -683,10 +765,23 @@ func TestUploadRequiresExperiment(t *testing.T) {
 	}
 }
 
+// TestUploadBatchSizesEquivalent uploads one profile at batch sizes that
+// leave a remainder in every profile table it can — 41 threads × 13 events
+// × 2 metrics = 1066 interval rows, 41 atomic rows, and 26 rows per
+// summary table, written 16 at a time — and checks that every size reloads
+// the profile value for value and stores the same summary rows.
 func TestUploadBatchSizesEquivalent(t *testing.T) {
+	p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 41, Events: 13, Metrics: 2, Seed: 3})
+	msg := p.AddAtomicEvent("Message size", "MPI")
+	for i, th := range p.Threads() {
+		a := th.AtomicData(msg.ID)
+		a.SampleCount = int64(10 + i)
+		a.Minimum, a.Maximum, a.Mean = 8, float64(1024*(i+1)), 512
+		a.SumSqr = float64(a.SampleCount) * (512*512 + 100*100) // stddev 100
+	}
+	var want [][]SummaryRow
 	for _, batch := range []int{1, 7, 64, 1000} {
 		s := openSession(t)
-		p := sampleProfile("b")
 		app := &Application{Name: "a"}
 		s.SaveApplication(app)
 		s.SetApplication(app)
@@ -701,29 +796,28 @@ func TestUploadBatchSizesEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
-		if got.DataPoints() != p.DataPoints() {
-			t.Fatalf("batch %d: datapoints %d want %d", batch, got.DataPoints(), p.DataPoints())
+		compareFuzz(t, batch, p, got)
+		s.SetTrial(trial)
+		var sums [][]SummaryRow
+		for _, m := range p.Metrics() {
+			mean, err := s.MeanSummary(m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total, err := s.TotalSummary(m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(mean) != 13 || len(total) != 13 {
+				t.Fatalf("batch %d, %s: %d mean and %d total summary rows, want 13", batch, m.Name, len(mean), len(total))
+			}
+			sums = append(sums, mean, total)
 		}
-	}
-}
-
-func TestSkipSummariesOption(t *testing.T) {
-	s := openSession(t)
-	p := sampleProfile("nosum")
-	app := &Application{Name: "a"}
-	s.SaveApplication(app)
-	s.SetApplication(app)
-	exp := &Experiment{Name: "e"}
-	s.SaveExperiment(exp)
-	s.SetExperiment(exp)
-	trial, err := s.UploadTrial(p, UploadOptions{SkipSummaries: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetTrial(trial)
-	mean, err := s.MeanSummary("TIME")
-	if err != nil || len(mean) != 0 {
-		t.Fatalf("summaries present despite skip: %v %v", mean, err)
+		if want == nil {
+			want = sums
+		} else if !reflect.DeepEqual(sums, want) {
+			t.Fatalf("batch %d: summary rows differ from batch 1's", batch)
+		}
 	}
 }
 

@@ -86,6 +86,99 @@ type AtomicEvent struct {
 	Group   string
 }
 
+// objectTable describes one of the flexible-schema tables: the column
+// referencing its parent row ("" for application), and its fixed columns,
+// which never appear in Fields.
+type objectTable struct {
+	name   string
+	parent string
+	fixed  map[string]bool
+}
+
+var (
+	appTable   = objectTable{"application", "", map[string]bool{"id": true, "name": true}}
+	expTable   = objectTable{"experiment", "application", map[string]bool{"id": true, "name": true, "application": true}}
+	trialTable = objectTable{"trial", "experiment", map[string]bool{"id": true, "name": true, "experiment": true, "metadata": true}}
+)
+
+// objectRow is one row of a flexible-schema table.
+type objectRow struct {
+	id, parent int64
+	name       string
+	fields     map[string]any
+}
+
+// listObjects returns the table's rows in id order, each built by mk; with
+// a parent id, only that parent's rows.
+func listObjects[T any](s *DataSession, t objectTable, parent *int64, mk func(objectRow) T) ([]T, error) {
+	q, args := "SELECT * FROM "+t.name, []any(nil)
+	if parent != nil {
+		q += " WHERE " + t.parent + " = ?"
+		args = append(args, *parent)
+	}
+	rows, err := s.conn.Query(q+" ORDER BY id", args...)
+	var out []T
+	err = forEach(rows, err, func() error {
+		r := objectRow{fields: make(map[string]any)}
+		for i, col := range rows.Columns() {
+			v := rows.Value(i)
+			switch lower := strings.ToLower(col); {
+			case lower == "id":
+				r.id, _ = v.(int64)
+			case lower == "name":
+				r.name, _ = v.(string)
+			case lower == t.parent:
+				r.parent, _ = v.(int64)
+			case t.fixed[lower]:
+				// trial.metadata, which UploadTrial manages.
+			case v != nil:
+				r.fields[lower] = v
+			}
+		}
+		out = append(out, mk(r))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// saveObject inserts a row into the table when *id is zero, setting *id,
+// and otherwise updates row *id: its name, its parent column, and the
+// flexible fields. A row of a child table whose *parent is zero joins the
+// selected parent.
+func (s *DataSession) saveObject(t objectTable, id *int64, name string, parent, selected *int64, fields map[string]any) error {
+	if name == "" {
+		return fmt.Errorf("core: %s needs a name", t.name)
+	}
+	cols, args := []string{"name"}, []any{name}
+	if t.parent != "" {
+		if *parent == 0 {
+			if selected == nil {
+				return fmt.Errorf("core: %s needs an %s (set one or select one)", t.name, t.parent)
+			}
+			*parent = *selected
+		}
+		cols, args = append(cols, t.parent), append(args, *parent)
+	}
+	flex, vals, err := flexColumns(s.conn, t.name, t.fixed, fields)
+	if err != nil {
+		return err
+	}
+	cols, args = append(cols, flex...), append(args, vals...)
+	if *id != 0 {
+		_, err = s.conn.Exec(updateSQL(t.name, cols), append(args, *id)...)
+		return err
+	}
+	res, err := s.conn.Exec(insertSQL(t.name, cols, 1), args...)
+	if err != nil {
+		return err
+	}
+	*id = res.LastInsertID
+	return nil
+}
+
 // flexColumns returns the table's column names (lower-cased) other than
 // the fixed id column, split into those the caller provided values for.
 func flexColumns(conn godbc.Conn, table string, fixed map[string]bool, fields map[string]any) (cols []string, vals []any, err error) {
@@ -116,20 +209,4 @@ func flexColumns(conn godbc.Conn, table string, fixed map[string]bool, fields ma
 		vals = append(vals, fields[key])
 	}
 	return cols, vals, nil
-}
-
-// loadFields populates a Fields map from a result row, skipping the fixed
-// columns.
-func loadFields(rows godbc.Rows, fixed map[string]bool) map[string]any {
-	fields := make(map[string]any)
-	for i, col := range rows.Columns() {
-		lower := strings.ToLower(col)
-		if fixed[lower] {
-			continue
-		}
-		if v := rows.Value(i); v != nil {
-			fields[lower] = v
-		}
-	}
-	return fields
 }

@@ -52,40 +52,13 @@ func (s *DataSession) Conn() godbc.Conn { return s.conn }
 // Close releases the session's connection.
 func (s *DataSession) Close() error { return s.conn.Close() }
 
-var (
-	appFixed   = map[string]bool{"id": true, "name": true}
-	expFixed   = map[string]bool{"id": true, "name": true, "application": true}
-	trialFixed = map[string]bool{"id": true, "name": true, "experiment": true, "metadata": true}
-)
-
-func colIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
-}
-
 // --- applications ---
 
 // ApplicationList returns every application, in id order.
 func (s *DataSession) ApplicationList() ([]*Application, error) {
-	rows, err := s.conn.Query("SELECT * FROM application ORDER BY id")
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	idPos := colIndex(rows.Columns(), "id")
-	namePos := colIndex(rows.Columns(), "name")
-	var out []*Application
-	for rows.Next() {
-		a := &Application{Fields: loadFields(rows, appFixed)}
-		a.ID, _ = rows.Value(idPos).(int64)
-		a.Name, _ = rows.Value(namePos).(string)
-		out = append(out, a)
-	}
-	return out, rows.Err()
+	return listObjects(s, appTable, nil, func(r objectRow) *Application {
+		return &Application{ID: r.id, Name: r.name, Fields: r.fields}
+	})
 }
 
 // FindApplication returns the application with the given name, or nil.
@@ -105,28 +78,7 @@ func (s *DataSession) FindApplication(name string) (*Application, error) {
 // SaveApplication inserts the application when its ID is zero, otherwise
 // updates the existing row. Flexible fields are written to their columns.
 func (s *DataSession) SaveApplication(a *Application) error {
-	if a.Name == "" {
-		return fmt.Errorf("core: application needs a name")
-	}
-	cols, vals, err := flexColumns(s.conn, "application", appFixed, a.Fields)
-	if err != nil {
-		return err
-	}
-	if a.ID == 0 {
-		names := append([]string{"name"}, cols...)
-		args := append([]any{a.Name}, vals...)
-		res, err := s.conn.Exec(insertSQL("application", names), args...)
-		if err != nil {
-			return err
-		}
-		a.ID = res.LastInsertID
-		return nil
-	}
-	names := append([]string{"name"}, cols...)
-	args := append([]any{a.Name}, vals...)
-	args = append(args, a.ID)
-	_, err = s.conn.Exec(updateSQL("application", names), args...)
-	return err
+	return s.saveObject(appTable, &a.ID, a.Name, nil, nil, a.Fields)
 }
 
 // SetApplication scopes subsequent experiment queries to app (nil clears
@@ -145,63 +97,23 @@ func (s *DataSession) Application() *Application { return s.app }
 // ExperimentList returns experiments, restricted to the selected
 // application when one is set.
 func (s *DataSession) ExperimentList() ([]*Experiment, error) {
-	var (
-		rows godbc.Rows
-		err  error
-	)
-	if s.app != nil {
-		rows, err = s.conn.Query("SELECT * FROM experiment WHERE application = ? ORDER BY id", s.app.ID)
-	} else {
-		rows, err = s.conn.Query("SELECT * FROM experiment ORDER BY id")
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	idPos := colIndex(rows.Columns(), "id")
-	namePos := colIndex(rows.Columns(), "name")
-	appPos := colIndex(rows.Columns(), "application")
-	var out []*Experiment
-	for rows.Next() {
-		e := &Experiment{Fields: loadFields(rows, expFixed)}
-		e.ID, _ = rows.Value(idPos).(int64)
-		e.Name, _ = rows.Value(namePos).(string)
-		e.ApplicationID, _ = rows.Value(appPos).(int64)
-		out = append(out, e)
-	}
-	return out, rows.Err()
+	return listObjects(s, expTable, s.appID(), func(r objectRow) *Experiment {
+		return &Experiment{ID: r.id, ApplicationID: r.parent, Name: r.name, Fields: r.fields}
+	})
 }
 
-// SaveExperiment inserts or updates an experiment row.
+// SaveExperiment inserts or updates an experiment row. An experiment
+// without an ApplicationID joins the selected application.
 func (s *DataSession) SaveExperiment(e *Experiment) error {
-	if e.Name == "" {
-		return fmt.Errorf("core: experiment needs a name")
-	}
-	if e.ApplicationID == 0 {
-		if s.app == nil {
-			return fmt.Errorf("core: experiment needs an application (set one or select one)")
-		}
-		e.ApplicationID = s.app.ID
-	}
-	cols, vals, err := flexColumns(s.conn, "experiment", expFixed, e.Fields)
-	if err != nil {
-		return err
-	}
-	if e.ID == 0 {
-		names := append([]string{"name", "application"}, cols...)
-		args := append([]any{e.Name, e.ApplicationID}, vals...)
-		res, err := s.conn.Exec(insertSQL("experiment", names), args...)
-		if err != nil {
-			return err
-		}
-		e.ID = res.LastInsertID
+	return s.saveObject(expTable, &e.ID, e.Name, &e.ApplicationID, s.appID(), e.Fields)
+}
+
+// appID returns the selected application's id, or nil.
+func (s *DataSession) appID() *int64 {
+	if s.app == nil {
 		return nil
 	}
-	names := append([]string{"name", "application"}, cols...)
-	args := append([]any{e.Name, e.ApplicationID}, vals...)
-	args = append(args, e.ID)
-	_, err = s.conn.Exec(updateSQL("experiment", names), args...)
-	return err
+	return &s.app.ID
 }
 
 // SetExperiment scopes subsequent trial queries to exp.
@@ -218,64 +130,24 @@ func (s *DataSession) Experiment() *Experiment { return s.exp }
 // TrialList returns trials, restricted to the selected experiment when one
 // is set.
 func (s *DataSession) TrialList() ([]*Trial, error) {
-	var (
-		rows godbc.Rows
-		err  error
-	)
-	if s.exp != nil {
-		rows, err = s.conn.Query("SELECT * FROM trial WHERE experiment = ? ORDER BY id", s.exp.ID)
-	} else {
-		rows, err = s.conn.Query("SELECT * FROM trial ORDER BY id")
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	idPos := colIndex(rows.Columns(), "id")
-	namePos := colIndex(rows.Columns(), "name")
-	expPos := colIndex(rows.Columns(), "experiment")
-	var out []*Trial
-	for rows.Next() {
-		t := &Trial{Fields: loadFields(rows, trialFixed)}
-		t.ID, _ = rows.Value(idPos).(int64)
-		t.Name, _ = rows.Value(namePos).(string)
-		t.ExperimentID, _ = rows.Value(expPos).(int64)
-		out = append(out, t)
-	}
-	return out, rows.Err()
+	return listObjects(s, trialTable, s.expID(), func(r objectRow) *Trial {
+		return &Trial{ID: r.id, ExperimentID: r.parent, Name: r.name, Fields: r.fields}
+	})
 }
 
 // SaveTrial inserts or updates a trial row (metadata column excluded; it is
-// managed by UploadTrial).
+// managed by UploadTrial). A trial without an ExperimentID joins the
+// selected experiment.
 func (s *DataSession) SaveTrial(t *Trial) error {
-	if t.Name == "" {
-		return fmt.Errorf("core: trial needs a name")
-	}
-	if t.ExperimentID == 0 {
-		if s.exp == nil {
-			return fmt.Errorf("core: trial needs an experiment (set one or select one)")
-		}
-		t.ExperimentID = s.exp.ID
-	}
-	cols, vals, err := flexColumns(s.conn, "trial", trialFixed, t.Fields)
-	if err != nil {
-		return err
-	}
-	if t.ID == 0 {
-		names := append([]string{"name", "experiment"}, cols...)
-		args := append([]any{t.Name, t.ExperimentID}, vals...)
-		res, err := s.conn.Exec(insertSQL("trial", names), args...)
-		if err != nil {
-			return err
-		}
-		t.ID = res.LastInsertID
+	return s.saveObject(trialTable, &t.ID, t.Name, &t.ExperimentID, s.expID(), t.Fields)
+}
+
+// expID returns the selected experiment's id, or nil.
+func (s *DataSession) expID() *int64 {
+	if s.exp == nil {
 		return nil
 	}
-	names := append([]string{"name", "experiment"}, cols...)
-	args := append([]any{t.Name, t.ExperimentID}, vals...)
-	args = append(args, t.ID)
-	_, err = s.conn.Exec(updateSQL("trial", names), args...)
-	return err
+	return &s.exp.ID
 }
 
 // SetTrial scopes subsequent event and metric queries to t.
@@ -320,56 +192,38 @@ func (s *DataSession) MetricList() ([]*Metric, error) {
 // IntervalEventList returns the selected trial's interval events in id
 // order.
 func (s *DataSession) IntervalEventList() ([]*IntervalEvent, error) {
-	trialID, err := s.currentTrialID()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := s.conn.Query(
-		"SELECT id, name, group_name FROM interval_event WHERE trial = ? ORDER BY id", trialID)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []*IntervalEvent
-	for rows.Next() {
-		e := &IntervalEvent{TrialID: trialID}
-		var group any
-		if err := rows.Scan(&e.ID, &e.Name, &group); err != nil {
-			return nil, err
-		}
-		if g, ok := group.(string); ok {
-			e.Group = g
-		}
-		out = append(out, e)
-	}
-	return out, rows.Err()
+	return eventList[IntervalEvent](s, "interval_event")
 }
 
 // AtomicEventList returns the selected trial's atomic events in id order.
 func (s *DataSession) AtomicEventList() ([]*AtomicEvent, error) {
+	return eventList[AtomicEvent](s, "atomic_event")
+}
+
+// eventList reads the selected trial's interval_event or atomic_event
+// catalog, whose rows have one shape, in id order.
+func eventList[E IntervalEvent | AtomicEvent](s *DataSession, table string) ([]*E, error) {
 	trialID, err := s.currentTrialID()
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.conn.Query(
-		"SELECT id, name, group_name FROM atomic_event WHERE trial = ? ORDER BY id", trialID)
+	rows, err := s.conn.Query("SELECT id, name, group_name FROM "+table+" WHERE trial = ? ORDER BY id", trialID)
+	var out []*E
+	err = forEach(rows, err, func() error {
+		e := IntervalEvent{TrialID: trialID}
+		var group any
+		if err := rows.Scan(&e.ID, &e.Name, &group); err != nil {
+			return err
+		}
+		e.Group, _ = group.(string)
+		ev := E(e)
+		out = append(out, &ev)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var out []*AtomicEvent
-	for rows.Next() {
-		e := &AtomicEvent{TrialID: trialID}
-		var group any
-		if err := rows.Scan(&e.ID, &e.Name, &group); err != nil {
-			return nil, err
-		}
-		if g, ok := group.(string); ok {
-			e.Group = g
-		}
-		out = append(out, e)
-	}
-	return out, rows.Err()
+	return out, nil
 }
 
 // DeleteTrial removes a trial and all of its dependent rows, children
@@ -408,26 +262,22 @@ func (s *DataSession) DeleteTrial(trialID int64) error {
 	return nil
 }
 
-// insertSQL builds "INSERT INTO table (c1, c2) VALUES (?, ?)".
-func insertSQL(table string, cols []string) string {
+// insertSQL builds "INSERT INTO table (c1, c2) VALUES (?, ?)" with n rows
+// of placeholders.
+func insertSQL(table string, cols []string, n int) string {
+	row := "(" + strings.TrimSuffix(strings.Repeat("?, ", len(cols)), ", ") + ")"
 	var b strings.Builder
 	b.WriteString("INSERT INTO ")
 	b.WriteString(table)
 	b.WriteString(" (")
-	for i, c := range cols {
+	b.WriteString(strings.Join(cols, ", "))
+	b.WriteString(") VALUES ")
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(c)
+		b.WriteString(row)
 	}
-	b.WriteString(") VALUES (")
-	for i := range cols {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteByte('?')
-	}
-	b.WriteString(")")
 	return b.String()
 }
 

@@ -21,12 +21,13 @@ type UploadOptions struct {
 	// 64). 1 disables batching — the ablation in DESIGN.md measures the
 	// difference.
 	BatchSize int
-	// SkipSummaries leaves the total/mean summary tables empty; analysis
-	// must then aggregate on demand (the second ablation).
-	SkipSummaries bool
 	// Date stamps the trial row; zero means time.Now().
 	Date time.Time
 }
+
+// defaultBatchSize is the number of rows per profile-table INSERT when
+// UploadOptions sets none, and for derived metrics.
+const defaultBatchSize = 64
 
 // ilpColumns is the column list of INTERVAL_LOCATION_PROFILE in insert
 // order.
@@ -48,92 +49,64 @@ var alpColumns = []string{
 	"sample_count", "maximum_value", "minimum_value", "mean_value", "standard_deviation",
 }
 
-// batchInserter issues multi-row INSERTs of a fixed batch size, falling
-// back to single-row statements for the remainder. Statements are prepared
-// once — the upload path is the hottest code in PerfDMF.
+// batchInserter issues multi-row INSERTs of a fixed batch size and writes
+// the remainder as one INSERT sized to it. The full-batch statement is
+// prepared once — the upload path is the hottest code in PerfDMF.
 type batchInserter struct {
-	batch    godbc.Stmt // nil when batching is disabled
-	single   godbc.Stmt
-	size     int
-	width    int
+	conn     godbc.Conn
+	table    string
+	cols     []string
+	batch    godbc.Stmt
 	buffered []any
 }
 
 func newBatchInserter(conn godbc.Conn, table string, cols []string, batchSize int) (*batchInserter, error) {
-	bi := &batchInserter{size: batchSize, width: len(cols)}
-	single, err := conn.Prepare(insertSQL(table, cols))
+	batch, err := conn.Prepare(insertSQL(table, cols, batchSize))
 	if err != nil {
 		return nil, err
 	}
-	bi.single = single
-	if batchSize > 1 {
-		var b strings.Builder
-		b.WriteString("INSERT INTO ")
-		b.WriteString(table)
-		b.WriteString(" (")
-		b.WriteString(strings.Join(cols, ", "))
-		b.WriteString(") VALUES ")
-		row := "(" + strings.TrimSuffix(strings.Repeat("?, ", len(cols)), ", ") + ")"
-		for i := 0; i < batchSize; i++ {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(row)
-		}
-		batch, err := conn.Prepare(b.String())
-		if err != nil {
-			return nil, err
-		}
-		bi.batch = batch
-		bi.buffered = make([]any, 0, batchSize*len(cols))
-	}
-	return bi, nil
+	// A full batch fills the buffer's capacity.
+	return &batchInserter{conn: conn, table: table, cols: cols, batch: batch,
+		buffered: make([]any, 0, batchSize*len(cols))}, nil
 }
 
-// add buffers one row, flushing a full batch.
+// add buffers one row, writing a full batch.
 func (bi *batchInserter) add(vals ...any) error {
-	if len(vals) != bi.width {
-		return fmt.Errorf("core: batch inserter got %d values, want %d", len(vals), bi.width)
-	}
-	if bi.batch == nil {
-		_, err := bi.single.Exec(vals...)
-		return err
+	if len(vals) != len(bi.cols) {
+		return fmt.Errorf("core: batch inserter got %d values, want %d", len(vals), len(bi.cols))
 	}
 	bi.buffered = append(bi.buffered, vals...)
-	if len(bi.buffered) == bi.size*bi.width {
-		if _, err := bi.batch.Exec(bi.buffered...); err != nil {
-			return err
-		}
-		mUploadBatch.Observe(int64(bi.size))
-		bi.buffered = bi.buffered[:0]
+	if len(bi.buffered) < cap(bi.buffered) {
+		return nil
 	}
-	return nil
-}
-
-// flush writes any buffered remainder with single-row statements.
-func (bi *batchInserter) flush() error {
-	for i := 0; i < len(bi.buffered); i += bi.width {
-		if _, err := bi.single.Exec(bi.buffered[i : i+bi.width]...); err != nil {
-			return err
-		}
-		mUploadBatch.Observe(1)
+	if _, err := bi.batch.Exec(bi.buffered...); err != nil {
+		return err
 	}
+	mUploadBatch.Observe(int64(len(bi.buffered) / len(bi.cols)))
 	bi.buffered = bi.buffered[:0]
 	return nil
 }
 
-func (bi *batchInserter) close() {
-	bi.single.Close()
-	if bi.batch != nil {
-		bi.batch.Close()
+// flush writes the buffered remainder, if any, as one INSERT.
+func (bi *batchInserter) flush() error {
+	if len(bi.buffered) == 0 {
+		return nil
 	}
+	n := len(bi.buffered) / len(bi.cols)
+	if _, err := bi.conn.Exec(insertSQL(bi.table, bi.cols, n), bi.buffered...); err != nil {
+		return err
+	}
+	mUploadBatch.Observe(int64(n))
+	bi.buffered = bi.buffered[:0]
+	return nil
 }
+
+func (bi *batchInserter) close() { bi.batch.Close() }
 
 // UploadTrial stores a parsed profile as a new trial under the selected
 // experiment: the trial row, metric and event catalogs, every
-// INTERVAL_LOCATION_PROFILE and ATOMIC_LOCATION_PROFILE row, and (unless
-// disabled) the total and mean summary tables. The whole upload is one
-// transaction.
+// INTERVAL_LOCATION_PROFILE and ATOMIC_LOCATION_PROFILE row, and the total
+// and mean summary tables. The whole upload is one transaction.
 func (s *DataSession) UploadTrial(p *model.Profile, opts UploadOptions) (*Trial, error) {
 	return s.UploadTrialCtx(context.Background(), p, opts)
 }
@@ -148,7 +121,7 @@ func (s *DataSession) UploadTrialCtx(ctx context.Context, p *model.Profile, opts
 		return nil, fmt.Errorf("core: select an experiment before uploading a trial")
 	}
 	if opts.BatchSize <= 0 {
-		opts.BatchSize = 64
+		opts.BatchSize = defaultBatchSize
 	}
 	name := opts.TrialName
 	if name == "" {
@@ -247,19 +220,19 @@ func (s *DataSession) uploadTrialTx(ctx context.Context, p *model.Profile, opts 
 		return nil, err
 	}
 
-	// Location profiles.
+	metrics := make([]int, len(metricIDs))
+	for m := range metrics {
+		metrics[m] = m
+	}
 	if err := s.phase(ctx, "upload:rows", func() error {
-		return s.uploadIntervalRows(p, opts, metricIDs, eventIDs)
+		return s.uploadIntervalRows(p, opts.BatchSize, metrics, metricIDs, eventIDs)
 	}); err != nil {
 		return nil, err
 	}
-
-	if !opts.SkipSummaries {
-		if err := s.phase(ctx, "upload:summaries", func() error {
-			return s.uploadSummaries(p, eventIDs, metricIDs)
-		}); err != nil {
-			return nil, err
-		}
+	if err := s.phase(ctx, "upload:summaries", func() error {
+		return s.uploadSummaries(p, metrics, metricIDs, eventIDs)
+	}); err != nil {
+		return nil, err
 	}
 
 	// Atomic events.
@@ -285,48 +258,70 @@ func (s *DataSession) uploadTrialTx(ctx context.Context, p *model.Profile, opts 
 	return trial, nil
 }
 
-// uploadIntervalRows writes every INTERVAL_LOCATION_PROFILE row — the bulk
-// of any upload.
-func (s *DataSession) uploadIntervalRows(p *model.Profile, opts UploadOptions, metricIDs, eventIDs []int64) error {
-	ilp, err := newBatchInserter(s.conn, "interval_location_profile", ilpColumns, opts.BatchSize)
+// pctScale holds, for each metric written, the denominators of the
+// percentage columns over one thread or one summary: the largest inclusive
+// and the total exclusive value.
+type pctScale struct{ maxIncl, totalExcl []float64 }
+
+// reset starts a new thread or summary of n metrics.
+func (ps *pctScale) reset(n int) {
+	if cap(ps.maxIncl) < n {
+		ps.maxIncl, ps.totalExcl = make([]float64, n), make([]float64, n)
+	}
+	ps.maxIncl, ps.totalExcl = ps.maxIncl[:n], ps.totalExcl[:n]
+	clear(ps.maxIncl)
+	clear(ps.totalExcl)
+}
+
+// add accumulates one event's values of the given model metrics.
+func (ps *pctScale) add(d *model.IntervalData, metrics []int) {
+	for i, m := range metrics {
+		ps.totalExcl[i] += d.PerMetric[m].Exclusive
+		if d.PerMetric[m].Inclusive > ps.maxIncl[i] {
+			ps.maxIncl[i] = d.PerMetric[m].Inclusive
+		}
+	}
+}
+
+// pct returns the inclusive and exclusive percentages of md, a value of
+// the i-th metric written.
+func (ps *pctScale) pct(i int, md model.MetricData) (inclPct, exclPct float64) {
+	if ps.maxIncl[i] > 0 {
+		inclPct = 100 * md.Inclusive / ps.maxIncl[i]
+	}
+	if ps.totalExcl[i] > 0 {
+		exclPct = 100 * md.Exclusive / ps.totalExcl[i]
+	}
+	return inclPct, exclPct
+}
+
+// uploadIntervalRows writes the INTERVAL_LOCATION_PROFILE rows — the bulk
+// of any upload — of the given model metrics, stored under metricIDs (one
+// database id per entry of metrics), in thread, event, metric order.
+func (s *DataSession) uploadIntervalRows(p *model.Profile, batchSize int, metrics []int, metricIDs, eventIDs []int64) error {
+	ilp, err := newBatchInserter(s.conn, "interval_location_profile", ilpColumns, batchSize)
 	if err != nil {
 		return err
 	}
 	defer ilp.close()
-	nm := len(p.Metrics())
+	var scale pctScale
 	for _, th := range p.Threads() {
 		// Per-thread denominators for the percentage columns.
-		totalExcl := make([]float64, nm)
-		maxIncl := make([]float64, nm)
-		th.EachInterval(func(_ int, d *model.IntervalData) {
-			for m := 0; m < nm; m++ {
-				totalExcl[m] += d.PerMetric[m].Exclusive
-				if d.PerMetric[m].Inclusive > maxIncl[m] {
-					maxIncl[m] = d.PerMetric[m].Inclusive
-				}
-			}
-		})
+		scale.reset(len(metrics))
+		th.EachInterval(func(_ int, d *model.IntervalData) { scale.add(d, metrics) })
 		var addErr error
 		th.EachInterval(func(eid int, d *model.IntervalData) {
-			if addErr != nil {
-				return
-			}
-			for m := 0; m < nm; m++ {
+			for i, m := range metrics {
+				if addErr != nil {
+					return
+				}
 				md := d.PerMetric[m]
-				inclPct, exclPct := 0.0, 0.0
-				if maxIncl[m] > 0 {
-					inclPct = 100 * md.Inclusive / maxIncl[m]
-				}
-				if totalExcl[m] > 0 {
-					exclPct = 100 * md.Exclusive / totalExcl[m]
-				}
-				if err := ilp.add(
-					eventIDs[eid], th.ID.Node, th.ID.Context, th.ID.Thread, metricIDs[m],
+				inclPct, exclPct := scale.pct(i, md)
+				addErr = ilp.add(
+					eventIDs[eid], th.ID.Node, th.ID.Context, th.ID.Thread, metricIDs[i],
 					inclPct, md.Inclusive, exclPct, md.Exclusive,
 					d.InclusivePerCall(m), d.NumCalls, d.NumSubrs,
-				); err != nil {
-					addErr = err
-				}
+				)
 			}
 		})
 		if addErr != nil {
@@ -378,62 +373,48 @@ func (s *DataSession) uploadAtomicEvents(p *model.Profile, opts UploadOptions, t
 }
 
 // uploadSummaries writes the INTERVAL_TOTAL_SUMMARY and
-// INTERVAL_MEAN_SUMMARY rows from the in-memory aggregates.
-func (s *DataSession) uploadSummaries(p *model.Profile, eventIDs, metricIDs []int64) error {
-	nm := len(p.Metrics())
-	for _, kind := range []struct {
-		table   string
-		summary *model.Summary
-	}{
-		{"interval_total_summary", p.TotalSummary()},
-		{"interval_mean_summary", p.MeanSummary()},
-	} {
-		ins, err := newBatchInserter(s.conn, kind.table, summaryColumns, 16)
-		if err != nil {
-			return err
-		}
-		// Denominators across the summary itself.
-		totalExcl := make([]float64, nm)
-		maxIncl := make([]float64, nm)
-		for _, agg := range kind.summary.Events {
-			for m := 0; m < nm; m++ {
-				totalExcl[m] += agg.PerMetric[m].Exclusive
-				if agg.PerMetric[m].Inclusive > maxIncl[m] {
-					maxIncl[m] = agg.PerMetric[m].Inclusive
-				}
-			}
-		}
-		eids := make([]int, 0, len(kind.summary.Events))
-		for eid := range kind.summary.Events {
-			eids = append(eids, eid)
-		}
-		sort.Ints(eids)
-		for _, eid := range eids {
-			agg := kind.summary.Events[eid]
-			for m := 0; m < nm; m++ {
-				md := agg.PerMetric[m]
-				inclPct, exclPct := 0.0, 0.0
-				if maxIncl[m] > 0 {
-					inclPct = 100 * md.Inclusive / maxIncl[m]
-				}
-				if totalExcl[m] > 0 {
-					exclPct = 100 * md.Exclusive / totalExcl[m]
-				}
-				if err := ins.add(
-					eventIDs[eid], metricIDs[m],
-					inclPct, md.Inclusive, exclPct, md.Exclusive,
-					agg.InclusivePerCall(m), agg.NumCalls, agg.NumSubrs,
-				); err != nil {
-					return err
-				}
-			}
-		}
-		if err := ins.flush(); err != nil {
-			return err
-		}
-		ins.close()
+// INTERVAL_MEAN_SUMMARY rows of the given model metrics from the in-memory
+// aggregates; metrics and metricIDs are as for uploadIntervalRows.
+func (s *DataSession) uploadSummaries(p *model.Profile, metrics []int, metricIDs, eventIDs []int64) error {
+	if err := s.uploadSummary("interval_total_summary", p.TotalSummary(), metrics, metricIDs, eventIDs); err != nil {
+		return err
 	}
-	return nil
+	return s.uploadSummary("interval_mean_summary", p.MeanSummary(), metrics, metricIDs, eventIDs)
+}
+
+// uploadSummary writes one summary table's rows in event, metric order.
+func (s *DataSession) uploadSummary(table string, summary *model.Summary, metrics []int, metricIDs, eventIDs []int64) error {
+	ins, err := newBatchInserter(s.conn, table, summaryColumns, 16)
+	if err != nil {
+		return err
+	}
+	defer ins.close()
+	eids := make([]int, 0, len(summary.Events))
+	for eid := range summary.Events {
+		eids = append(eids, eid)
+	}
+	sort.Ints(eids)
+	// Denominators across the summary itself.
+	var scale pctScale
+	scale.reset(len(metrics))
+	for _, eid := range eids {
+		scale.add(summary.Events[eid], metrics)
+	}
+	for _, eid := range eids {
+		agg := summary.Events[eid]
+		for i, m := range metrics {
+			md := agg.PerMetric[m]
+			inclPct, exclPct := scale.pct(i, md)
+			if err := ins.add(
+				eventIDs[eid], metricIDs[i],
+				inclPct, md.Inclusive, exclPct, md.Exclusive,
+				agg.InclusivePerCall(m), agg.NumCalls, agg.NumSubrs,
+			); err != nil {
+				return err
+			}
+		}
+	}
+	return ins.flush()
 }
 
 // SaveDerivedMetric stores one additional metric of a profile into an
@@ -448,20 +429,19 @@ func (s *DataSession) SaveDerivedMetric(trialID int64, p *model.Profile, metricI
 	}
 	// Map profile event IDs to database event IDs by name.
 	rows, err := s.conn.Query("SELECT id, name FROM interval_event WHERE trial = ?", trialID)
+	byName := make(map[string]int64)
+	var id int64
+	var name string
+	err = forEach(rows, err, func() error {
+		if err := rows.Scan(&id, &name); err != nil {
+			return err
+		}
+		byName[name] = id
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	byName := make(map[string]int64)
-	for rows.Next() {
-		var id int64
-		var name string
-		if err := rows.Scan(&id, &name); err != nil {
-			rows.Close()
-			return nil, err
-		}
-		byName[name] = id
-	}
-	rows.Close()
 	eventIDs := make([]int64, len(p.IntervalEvents()))
 	for _, e := range p.IntervalEvents() {
 		id, ok := byName[e.Name]
@@ -492,92 +472,14 @@ func (s *DataSession) saveDerivedTx(trialID int64, p *model.Profile, metricID in
 	if err != nil {
 		return nil, err
 	}
-	dbMetric := res.LastInsertID
-
-	ilp, err := newBatchInserter(s.conn, "interval_location_profile", ilpColumns, 64)
-	if err != nil {
+	metrics, metricIDs := []int{metricID}, []int64{res.LastInsertID}
+	if err := s.uploadIntervalRows(p, defaultBatchSize, metrics, metricIDs, eventIDs); err != nil {
 		return nil, err
 	}
-	defer ilp.close()
-	for _, th := range p.Threads() {
-		totalExcl, maxIncl := 0.0, 0.0
-		th.EachInterval(func(_ int, d *model.IntervalData) {
-			totalExcl += d.PerMetric[metricID].Exclusive
-			if d.PerMetric[metricID].Inclusive > maxIncl {
-				maxIncl = d.PerMetric[metricID].Inclusive
-			}
-		})
-		var addErr error
-		th.EachInterval(func(eid int, d *model.IntervalData) {
-			if addErr != nil {
-				return
-			}
-			md := d.PerMetric[metricID]
-			inclPct, exclPct := 0.0, 0.0
-			if maxIncl > 0 {
-				inclPct = 100 * md.Inclusive / maxIncl
-			}
-			if totalExcl > 0 {
-				exclPct = 100 * md.Exclusive / totalExcl
-			}
-			if err := ilp.add(
-				eventIDs[eid], th.ID.Node, th.ID.Context, th.ID.Thread, dbMetric,
-				inclPct, md.Inclusive, exclPct, md.Exclusive,
-				d.InclusivePerCall(metricID), d.NumCalls, d.NumSubrs,
-			); err != nil {
-				addErr = err
-			}
-		})
-		if addErr != nil {
-			return nil, addErr
-		}
-	}
-	if err := ilp.flush(); err != nil {
+	if err := s.uploadSummaries(p, metrics, metricIDs, eventIDs); err != nil {
 		return nil, err
 	}
-
-	// Summary rows for the new metric.
-	for _, kind := range []struct {
-		table   string
-		summary *model.Summary
-	}{
-		{"interval_total_summary", p.TotalSummary()},
-		{"interval_mean_summary", p.MeanSummary()},
-	} {
-		ins, err := newBatchInserter(s.conn, kind.table, summaryColumns, 16)
-		if err != nil {
-			return nil, err
-		}
-		totalExcl, maxIncl := 0.0, 0.0
-		for _, agg := range kind.summary.Events {
-			totalExcl += agg.PerMetric[metricID].Exclusive
-			if agg.PerMetric[metricID].Inclusive > maxIncl {
-				maxIncl = agg.PerMetric[metricID].Inclusive
-			}
-		}
-		for eid, agg := range kind.summary.Events {
-			md := agg.PerMetric[metricID]
-			inclPct, exclPct := 0.0, 0.0
-			if maxIncl > 0 {
-				inclPct = 100 * md.Inclusive / maxIncl
-			}
-			if totalExcl > 0 {
-				exclPct = 100 * md.Exclusive / totalExcl
-			}
-			if err := ins.add(
-				eventIDs[eid], dbMetric,
-				inclPct, md.Inclusive, exclPct, md.Exclusive,
-				agg.InclusivePerCall(metricID), agg.NumCalls, agg.NumSubrs,
-			); err != nil {
-				return nil, err
-			}
-		}
-		if err := ins.flush(); err != nil {
-			return nil, err
-		}
-		ins.close()
-	}
-	return &Metric{ID: dbMetric, TrialID: trialID, Name: m.Name, Derived: true}, nil
+	return &Metric{ID: res.LastInsertID, TrialID: trialID, Name: m.Name, Derived: true}, nil
 }
 
 // encodeMeta serializes trial metadata as "key=quoted-value" lines.

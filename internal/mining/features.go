@@ -91,47 +91,40 @@ func extractFeatures(s *core.DataSession, trialID int64, metrics []string) (*Fea
 	nmSel := len(selected)
 	rowOf := make(map[ThreadKey]int)
 
-	stmt, err := s.Conn().Prepare(`SELECT node, context, thread, metric, exclusive
-		FROM interval_location_profile WHERE interval_event = ?`)
+	// One statement reads every profile row of the trial, in slot order,
+	// through the profile table's event index.
+	rows, err := s.Conn().Query(`SELECT interval_event, node, context, thread, metric, exclusive
+		FROM interval_location_profile
+		WHERE interval_event IN (SELECT id FROM interval_event WHERE trial = ?)`, trialID)
 	if err != nil {
 		return nil, err
 	}
-	defer stmt.Close()
+	defer rows.Close()
 	// Scan destinations outside the row loop: per-row address-taking would
 	// heap-allocate every variable once per row.
-	var node, context, thread, metric int64
+	var event, node, context, thread, metric int64
 	var excl float64
-	dest := []any{&node, &context, &thread, &metric, &excl}
-	for _, e := range events {
-		rows, err := stmt.Query(e.ID)
-		if err != nil {
+	dest := []any{&event, &node, &context, &thread, &metric, &excl}
+	for rows.Next() {
+		if err := rows.Scan(dest...); err != nil {
 			return nil, err
 		}
-		ec := eventCol[e.ID]
-		for rows.Next() {
-			if err := rows.Scan(dest...); err != nil {
-				rows.Close()
-				return nil, err
-			}
-			mc, ok := metricCol[metric]
-			if !ok {
-				continue
-			}
-			key := ThreadKey{node, context, thread}
-			ri, ok := rowOf[key]
-			if !ok {
-				ri = len(fm.Rows)
-				rowOf[key] = ri
-				fm.Threads = append(fm.Threads, key)
-				fm.Rows = append(fm.Rows, make([]float64, len(fm.Columns)))
-			}
-			fm.Rows[ri][ec*nmSel+mc] = excl
+		mc, ok := metricCol[metric]
+		if !ok {
+			continue
 		}
-		if err := rows.Err(); err != nil {
-			rows.Close()
-			return nil, err
+		key := ThreadKey{node, context, thread}
+		ri, ok := rowOf[key]
+		if !ok {
+			ri = len(fm.Rows)
+			rowOf[key] = ri
+			fm.Threads = append(fm.Threads, key)
+			fm.Rows = append(fm.Rows, make([]float64, len(fm.Columns)))
 		}
-		rows.Close()
+		fm.Rows[ri][eventCol[event]*nmSel+mc] = excl
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
 	}
 	if len(fm.Rows) == 0 {
 		return nil, fmt.Errorf("mining: trial %d has no location profiles", trialID)
@@ -152,13 +145,13 @@ func extractFeatures(s *core.DataSession, trialID int64, metrics []string) (*Fea
 		return ta.Thread < tb.Thread
 	})
 	threads := make([]ThreadKey, len(order))
-	rows := make([][]float64, len(order))
+	ordered := make([][]float64, len(order))
 	for i, j := range order {
 		threads[i] = fm.Threads[j]
-		rows[i] = fm.Rows[j]
+		ordered[i] = fm.Rows[j]
 	}
 	fm.Threads = threads
-	fm.Rows = rows
+	fm.Rows = ordered
 	return fm, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"perfdmf/internal/core"
+	"perfdmf/internal/obs"
 	"perfdmf/internal/synth"
 )
 
@@ -317,6 +318,45 @@ func TestExtractFeatures(t *testing.T) {
 	}
 	if _, err := ExtractFeatures(s, 9999, nil); err == nil {
 		t.Error("missing trial accepted")
+	}
+}
+
+// TestExtractFeaturesStatements pins ExtractFeatures at a statement count
+// that does not grow with the trial's events: a 10-event and a 101-event
+// trial issue the same number of queries and execs, counted by godbc's
+// statement counters.
+func TestExtractFeaturesStatements(t *testing.T) {
+	s, err := core.Open("mem:mining_" + t.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	app := &core.Application{Name: "a"}
+	s.SaveApplication(app)
+	s.SetApplication(app)
+	exp := &core.Experiment{Name: "e"}
+	s.SaveExperiment(exp)
+	s.SetExperiment(exp)
+	queries, execs := obs.Default.Counter("godbc_query_total"), obs.Default.Counter("godbc_exec_total")
+	var counts []int64
+	for _, events := range []int{10, 101} {
+		p := synth.LargeTrial(synth.LargeTrialConfig{Threads: 4, Events: events, Metrics: 2, Seed: 1})
+		trial, err := s.UploadTrial(p, core.UploadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := queries.Value() + execs.Value()
+		fm, err := ExtractFeatures(s, trial.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fm.Rows) != 4 || len(fm.Columns) != 2*events {
+			t.Fatalf("%d events: %d×%d matrix, want 4×%d", events, len(fm.Rows), len(fm.Columns), 2*events)
+		}
+		counts = append(counts, queries.Value()+execs.Value()-before)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("ExtractFeatures issued %d statements at 10 events and %d at 101", counts[0], counts[1])
 	}
 }
 

@@ -56,6 +56,14 @@ func FuzzParse(f *testing.F) {
 	// The profile index as a literal statement: the schema builds its
 	// CREATE INDEX statements from parts, so -dump-sql does not list it.
 	f.Add("CREATE INDEX ix_ilp_event ON interval_location_profile (interval_event)")
+	// The application/experiment/trial list statements: the session builds
+	// them from the table and its parent column, so -dump-sql does not list
+	// them.
+	f.Add("SELECT * FROM application ORDER BY id")
+	f.Add("SELECT * FROM experiment WHERE application = ? ORDER BY id")
+	f.Add("SELECT * FROM experiment ORDER BY id")
+	f.Add("SELECT * FROM trial WHERE experiment = ? ORDER BY id")
+	f.Add("SELECT * FROM trial ORDER BY id")
 	f.Fuzz(func(t *testing.T, src string) {
 		if st, err := Parse(src); err == nil && st == nil {
 			t.Fatalf("Parse(%q) returned nil statement and nil error", src)
